@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/logging.hh"
+#include "gmx/traceback.hh"
 
 namespace gmx::core {
 
@@ -11,16 +12,6 @@ namespace {
 
 using align::AlignResult;
 using align::Op;
-
-void
-foldUnitCounts(KernelCounts *counts, const GmxInstrCounts &unit)
-{
-    if (!counts)
-        return;
-    counts->gmx_ac += unit.gmx_v + unit.gmx_h;
-    counts->gmx_tb += unit.gmx_tb;
-    counts->csr += unit.csr_read + unit.csr_write;
-}
 
 /**
  * Band-local tile-edge storage: one row of tiles per pattern tile-row,
@@ -202,69 +193,20 @@ bandedGmxAlign(const seq::Sequence &pattern, const seq::Sequence &text, i64 k,
     res.has_cigar = true;
 
     // ---- Tile-wise traceback over the banded edge storage ----
-    auto dv_input = [&](size_t ti, size_t tj, unsigned tp) {
-        if (tj == 0 || !all_rows[ti].contains(tj - 1))
-            return DeltaVec::ones(tp);
-        return all_rows[ti].at(tj - 1).v;
-    };
-    auto dh_input = [&](size_t ti, size_t tj, unsigned tt) {
-        if (ti == 0 || !all_rows[ti - 1].contains(tj))
-            return DeltaVec::ones(tt);
-        return all_rows[ti - 1].at(tj).h;
-    };
-
-    std::vector<Op> ops;
-    ops.reserve(n + m);
-    size_t ai = n, aj = m;
-    size_t ti = gr - 1, tj = gc - 1;
-    unit.csrwPos({TracebackPos::Edge::Bottom, tile_width(tj) - 1});
-
-    while (ai > 0 && aj > 0) {
-        ctx.poll();
-        GMX_ASSERT(all_rows[ti].contains(tj),
-                   "banded traceback left the band; raise k");
-        const unsigned tp = tile_height(ti);
-        const unsigned tt = tile_width(tj);
-        unit.csrwPattern(pattern.codes().data() + ti * t, tp);
-        unit.csrwText(text.codes().data() + tj * t, tt);
-        const TracebackStep step =
-            unit.gmxTb(dv_input(ti, tj, tp), dh_input(ti, tj, tt));
-        if (counts) {
-            counts->loads += 2;
-            counts->stores += 2;
-            counts->alu += 8;
-        }
-        for (Op op : step.ops) {
-            ops.push_back(op);
-            if (op != Op::Deletion)
-                --ai;
-            if (op != Op::Insertion)
-                --aj;
-            if (ai == 0 || aj == 0)
-                break;
-        }
-        if (ai == 0 || aj == 0)
-            break;
-        switch (step.next) {
-          case NextTile::Diag:
-            --ti;
-            --tj;
-            break;
-          case NextTile::Up:
-            --ti;
-            break;
-          case NextTile::Left:
-            --tj;
-            break;
-        }
-    }
-    for (; aj > 0; --aj)
-        ops.push_back(Op::Deletion);
-    for (; ai > 0; --ai)
-        ops.push_back(Op::Insertion);
-
-    std::reverse(ops.begin(), ops.end());
-    res.cigar = align::Cigar(std::move(ops));
+    res.cigar = tileTraceback(
+        unit, pattern, text, ctx,
+        [&](size_t ti, size_t tj, unsigned tp) {
+            GMX_ASSERT(all_rows[ti].contains(tj),
+                       "banded traceback left the band; raise k");
+            if (tj == 0 || !all_rows[ti].contains(tj - 1))
+                return DeltaVec::ones(tp);
+            return all_rows[ti].at(tj - 1).v;
+        },
+        [&](size_t ti, size_t tj, unsigned tt) {
+            if (ti == 0 || !all_rows[ti - 1].contains(tj))
+                return DeltaVec::ones(tt);
+            return all_rows[ti - 1].at(tj).h;
+        });
     foldUnitCounts(counts, unit.counts());
     ctx.donePhases();
     return res;

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/logging.hh"
+#include "gmx/traceback.hh"
 
 namespace gmx::core {
 
@@ -52,17 +53,6 @@ chargeTile(KernelCounts *counts, unsigned tp, unsigned tt)
     counts->loads += 2;  // dv_in, dh_in from the edge matrix
     counts->stores += 2; // dv_out, dh_out into the edge matrix
     counts->alu += 4;    // tight inner loop: control + addressing
-}
-
-/** Fold the GmxUnit's census into KernelCounts. */
-void
-foldUnitCounts(KernelCounts *counts, const GmxInstrCounts &unit)
-{
-    if (!counts)
-        return;
-    counts->gmx_ac += unit.gmx_v + unit.gmx_h;
-    counts->gmx_tb += unit.gmx_tb;
-    counts->csr += unit.csr_read + unit.csr_write;
 }
 
 AlignResult
@@ -176,61 +166,14 @@ fullGmxAlign(const seq::Sequence &pattern, const seq::Sequence &text,
     AlignResult res;
     res.distance = distance;
     res.has_cigar = true;
-
-    std::vector<Op> ops; // collected backwards (from (n, m) to origin)
-    ops.reserve(n + m);
-    size_t ai = n, aj = m; // absolute DP cell still to be reached
-    size_t ti = g.rows - 1, tj = g.cols - 1;
-    unit.csrwPos({TracebackPos::Edge::Bottom, g.tileWidth(tj) - 1});
-
-    while (ai > 0 && aj > 0) {
-        ctx.poll();
-        const unsigned tp = g.tileHeight(ti);
-        const unsigned tt = g.tileWidth(tj);
-        unit.csrwPattern(pattern.codes().data() + ti * g.t, tp);
-        unit.csrwText(text.codes().data() + tj * g.t, tt);
-        const DeltaVec dv_in =
-            tj == 0 ? DeltaVec::ones(tp) : at(ti, tj - 1).v;
-        const DeltaVec dh_in =
-            ti == 0 ? DeltaVec::ones(tt) : at(ti - 1, tj).h;
-        const TracebackStep step = unit.gmxTb(dv_in, dh_in);
-        if (counts) {
-            counts->loads += 2;
-            counts->stores += 2; // gmx_lo/gmx_hi spilled to the output
-            counts->alu += 8;
-        }
-        for (Op op : step.ops) {
-            ops.push_back(op);
-            if (op != Op::Deletion)
-                --ai;
-            if (op != Op::Insertion)
-                --aj;
-            if (ai == 0 || aj == 0)
-                break;
-        }
-        if (ai == 0 || aj == 0)
-            break;
-        switch (step.next) {
-          case NextTile::Diag:
-            --ti;
-            --tj;
-            break;
-          case NextTile::Up:
-            --ti;
-            break;
-          case NextTile::Left:
-            --tj;
-            break;
-        }
-    }
-    // Finish along the matrix boundary.
-    for (; aj > 0; --aj)
-        ops.push_back(Op::Deletion);
-    for (; ai > 0; --ai)
-        ops.push_back(Op::Insertion);
-
-    std::reverse(ops.begin(), ops.end());
-    res.cigar = align::Cigar(std::move(ops));
+    res.cigar = tileTraceback(
+        unit, pattern, text, ctx,
+        [&](size_t ti, size_t tj, unsigned tp) {
+            return tj == 0 ? DeltaVec::ones(tp) : at(ti, tj - 1).v;
+        },
+        [&](size_t ti, size_t tj, unsigned tt) {
+            return ti == 0 ? DeltaVec::ones(tt) : at(ti - 1, tj).h;
+        });
     foldUnitCounts(counts, unit.counts());
     ctx.donePhases();
     return res;

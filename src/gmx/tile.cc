@@ -14,65 +14,68 @@ checkInput(const TileInput &in)
     GMX_ASSERT(in.pattern != nullptr && in.text != nullptr);
 }
 
+/**
+ * Per-symbol pattern masks: bit r of eq[s] is set when row r holds s. The
+ * hardware compares characters directly in each compute cell; this table
+ * is only the software emulation's O(1)-per-column equivalent of those
+ * parallel comparators.
+ */
+void
+patternMasks(const TileInput &in, u64 (&eq)[seq::kDnaSymbols])
+{
+    for (u64 &m : eq)
+        m = 0;
+    for (unsigned r = 0; r < in.tp; ++r)
+        eq[in.pattern[r] & 3] |= u64{1} << r;
+}
+
 } // namespace
 
 TileOutput
 tileCompute(const TileInput &in)
 {
     checkInput(in);
-    const unsigned tp = in.tp;
-    const unsigned tt = in.tt;
-    const u64 row_mask = DeltaVec::laneMask(tp);
+    u64 eq_mask[seq::kDnaSymbols];
+    patternMasks(in, eq_mask);
+    const u64 row_mask = DeltaVec::laneMask(in.tp);
+    const u64 out_bit = u64{1} << (in.tp - 1);
 
-    // Per-symbol pattern masks. The hardware compares characters directly
-    // in each compute cell; this table is only the software emulation's
-    // O(1)-per-column equivalent of those parallel comparators.
-    u64 eq_mask[seq::kDnaSymbols] = {0, 0, 0, 0};
-    for (unsigned r = 0; r < tp; ++r)
-        eq_mask[in.pattern[r] & 3] |= u64{1} << r;
+    TileOutput out;
+    u64 pv = in.dv_in.p & row_mask;
+    u64 mv = in.dv_in.m & row_mask;
+    for (unsigned c = 0; c < in.tt; ++c) {
+        const ColumnWords col = tileColumnStep(
+            eq_mask[in.text[c] & 3], in.dh_in.at(c), row_mask, pv, mv);
+        // Horizontal delta leaving the tile at the bottom row.
+        if (col.ph & out_bit)
+            out.dh_out.p |= u64{1} << c;
+        else if (col.mh & out_bit)
+            out.dh_out.m |= u64{1} << c;
+        pv = col.pv;
+        mv = col.mv;
+    }
+    out.dv_out.p = pv;
+    out.dv_out.m = mv;
+    return out;
+}
+
+void
+tileColumns(const TileInput &in, unsigned ncols, ColumnWords *cols)
+{
+    checkInput(in);
+    GMX_ASSERT(ncols >= 1 && ncols <= in.tt);
+    u64 eq_mask[seq::kDnaSymbols];
+    patternMasks(in, eq_mask);
+    const u64 row_mask = DeltaVec::laneMask(in.tp);
 
     u64 pv = in.dv_in.p & row_mask;
     u64 mv = in.dv_in.m & row_mask;
-    DeltaVec dh_out;
-
-    for (unsigned c = 0; c < tt; ++c) {
-        u64 eq = eq_mask[in.text[c] & 3];
-        const int hin = in.dh_in.at(c);
-
-        // Myers/Hyyrö column step restricted to tp lanes; this evaluates
-        // the same recurrence as the GMXD cell network.
-        if (hin < 0)
-            eq |= 1;
-        const u64 xv = eq | mv;
-        const u64 xh = (((eq & pv) + pv) ^ pv) | eq;
-
-        u64 ph = mv | ~(xh | pv);
-        u64 mh = pv & xh;
-
-        // Horizontal delta leaving the tile at the bottom row (lane tp-1),
-        // read before the shift realigns ph/mh to "delta entering row r".
-        const u64 out_bit = u64{1} << (tp - 1);
-        if (ph & out_bit)
-            dh_out.p |= u64{1} << c;
-        else if (mh & out_bit)
-            dh_out.m |= u64{1} << c;
-
-        ph <<= 1;
-        mh <<= 1;
-        if (hin > 0)
-            ph |= 1;
-        else if (hin < 0)
-            mh |= 1;
-
-        pv = (mh | ~(xv | ph)) & row_mask;
-        mv = (ph & xv) & row_mask;
+    for (unsigned c = 0; c < ncols; ++c) {
+        cols[c] = tileColumnStep(eq_mask[in.text[c] & 3], in.dh_in.at(c),
+                                 row_mask, pv, mv);
+        pv = cols[c].pv;
+        mv = cols[c].mv;
     }
-
-    TileOutput out;
-    out.dv_out.p = pv;
-    out.dv_out.m = mv;
-    out.dh_out = dh_out;
-    return out;
 }
 
 TileOutput

@@ -111,6 +111,121 @@ TEST(GmxUnit, InstructionCensus)
     EXPECT_EQ(unit.counts().gmx_v, 0u);
 }
 
+/** Two random 32-character chunks of each side and random operands. */
+struct ReuseCase
+{
+    seq::Sequence p, t, p2, t2;
+    DeltaVec dv, dh;
+
+    explicit ReuseCase(seq::Generator &gen)
+        : p(gen.random(32)), t(gen.random(32)), p2(gen.random(32)),
+          t2(gen.random(32))
+    {
+        for (unsigned r = 0; r < 32; ++r) {
+            dv.set(r, static_cast<int>(gen.prng().below(3)) - 1);
+            dh.set(r, static_cast<int>(gen.prng().below(3)) - 1);
+        }
+    }
+
+    static TileOutput
+    expect(const seq::Sequence &pat, const seq::Sequence &txt,
+           const DeltaVec &dv_in, const DeltaVec &dh_in)
+    {
+        TileInput in;
+        in.pattern = pat.codes().data();
+        in.tp = 32;
+        in.text = txt.codes().data();
+        in.tt = 32;
+        in.dv_in = dv_in;
+        in.dh_in = dh_in;
+        return tileCompute(in);
+    }
+};
+
+TEST(GmxUnit, CsrChunkWriteBetweenVAndHRecomputes)
+{
+    seq::Generator gen(53);
+    for (int rep = 0; rep < 10; ++rep) {
+        const ReuseCase k(gen);
+        GmxUnit unit(32);
+        unit.csrwPattern(k.p.codes().data(), 32);
+        unit.csrwText(k.t.codes().data(), 32);
+        EXPECT_EQ(unit.gmxV(k.dv, k.dh),
+                  ReuseCase::expect(k.p, k.t, k.dv, k.dh).dv_out);
+        unit.csrwPattern(k.p2.codes().data(), 32);
+        EXPECT_EQ(unit.gmxH(k.dv, k.dh),
+                  ReuseCase::expect(k.p2, k.t, k.dv, k.dh).dh_out);
+        // The register form of csrw gmx_text invalidates the tile too.
+        unit.csrwTextPacked(0, 32);
+        const seq::Sequence all_a(std::string(32, 'A')); // code 0
+        EXPECT_EQ(unit.gmxV(k.dv, k.dh),
+                  ReuseCase::expect(k.p2, all_a, k.dv, k.dh).dv_out);
+        unit.csrwText(k.t2.codes().data(), 32);
+        EXPECT_EQ(unit.gmxVH(k.dv, k.dh).dh_out,
+                  ReuseCase::expect(k.p2, k.t2, k.dv, k.dh).dh_out);
+    }
+}
+
+TEST(GmxUnit, DifferentOperandsRecompute)
+{
+    seq::Generator gen(59);
+    for (int rep = 0; rep < 10; ++rep) {
+        const ReuseCase k(gen);
+        const ReuseCase other(gen);
+        GmxUnit unit(32);
+        unit.csrwPattern(k.p.codes().data(), 32);
+        unit.csrwText(k.t.codes().data(), 32);
+        unit.gmxV(k.dv, k.dh);
+        EXPECT_EQ(unit.gmxH(other.dv, k.dh),
+                  ReuseCase::expect(k.p, k.t, other.dv, k.dh).dh_out);
+        EXPECT_EQ(unit.gmxV(other.dv, other.dh),
+                  ReuseCase::expect(k.p, k.t, other.dv, other.dh).dv_out);
+        EXPECT_EQ(unit.gmxH(k.dv, k.dh),
+                  ReuseCase::expect(k.p, k.t, k.dv, k.dh).dh_out);
+    }
+}
+
+TEST(GmxUnit, HThenVMatchesVThenH)
+{
+    seq::Generator gen(61);
+    for (int rep = 0; rep < 10; ++rep) {
+        const ReuseCase k(gen);
+        GmxUnit vh(32), hv(32);
+        for (GmxUnit *unit : {&vh, &hv}) {
+            unit->csrwPattern(k.p.codes().data(), 32);
+            unit->csrwText(k.t.codes().data(), 32);
+        }
+        const DeltaVec v1 = vh.gmxV(k.dv, k.dh);
+        const DeltaVec h1 = vh.gmxH(k.dv, k.dh);
+        const DeltaVec h2 = hv.gmxH(k.dv, k.dh);
+        const DeltaVec v2 = hv.gmxV(k.dv, k.dh);
+        const TileOutput want = ReuseCase::expect(k.p, k.t, k.dv, k.dh);
+        EXPECT_EQ(v1, want.dv_out);
+        EXPECT_EQ(v2, want.dv_out);
+        EXPECT_EQ(h1, want.dh_out);
+        EXPECT_EQ(h2, want.dh_out);
+    }
+}
+
+TEST(GmxUnit, ReusedTileStillCountsEveryInstruction)
+{
+    seq::Generator gen(67);
+    const ReuseCase k(gen);
+    GmxUnit unit(32);
+    unit.csrwPattern(k.p.codes().data(), 32);
+    unit.csrwText(k.t.codes().data(), 32);
+    unit.gmxV(k.dv, k.dh);
+    unit.gmxH(k.dv, k.dh);
+    unit.gmxH(k.dv, k.dh);
+    unit.gmxV(k.dv, k.dh);
+    unit.gmxVH(k.dv, k.dh);
+    const auto &c = unit.counts();
+    EXPECT_EQ(c.gmx_v, 2u);
+    EXPECT_EQ(c.gmx_h, 2u);
+    EXPECT_EQ(c.gmx_vh, 1u);
+    EXPECT_EQ(c.csr_write, 2u);
+}
+
 TEST(GmxUnit, Figure6WorkedExample)
 {
     // Pattern "GATT" vs text "GCAT" with one 4x4 tile: distance 2 and a

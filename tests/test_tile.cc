@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the GMX-Tile kernel: bit-parallel vs scalar cross-check, and
- * both against deltas extracted from the NW reference matrix.
+ * Tests for the GMX-Tile kernel: bit-parallel vs scalar cross-check, both
+ * against deltas extracted from the NW reference matrix, and the word-form
+ * GMX-TB recompute against a walk over the materialised interior.
  */
 
 #include <gtest/gtest.h>
 
 #include "align/nw.hh"
+#include "gmx/isa.hh"
 #include "gmx/tile.hh"
 #include "sequence/generator.hh"
 
@@ -91,9 +93,8 @@ TEST(Tile, BitParallelMatchesScalarOnRandomTiles)
         in.tp = tp;
         in.text = t.codes().data();
         in.tt = tt;
-        // Random but *consistent* edge deltas come from a real DP matrix;
-        // purely random deltas can encode impossible boundaries. Use a
-        // random prefix context to generate feasible edges.
+        // Purely random edge deltas, including combinations no real DP
+        // matrix produces: the two kernels must agree on those too.
         for (unsigned r = 0; r < tp; ++r)
             in.dv_in.set(r, static_cast<int>(gen.prng().below(3)) - 1);
         for (unsigned c = 0; c < tt; ++c)
@@ -206,6 +207,157 @@ TEST(Tile, FullWordTile)
     EXPECT_EQ(fast.dh_out, ref.dh_out);
     for (unsigned r = 0; r < 64; ++r)
         EXPECT_EQ(fast.dv_out.at(r), oracle.dv(1 + r, 64));
+}
+
+/**
+ * The GMX-TB reference: the CCTB priority walk (M, then D, I, X) over the
+ * cell-by-cell interior, with the same exit classification as gmx.tb.
+ */
+TracebackStep
+interiorWalk(const TileInput &in, const TracebackPos &start, unsigned t)
+{
+    const TileInterior interior = tileInterior(in);
+    int r, c;
+    if (start.edge == TracebackPos::Edge::Bottom) {
+        r = static_cast<int>(in.tp) - 1;
+        c = static_cast<int>(start.index);
+    } else {
+        r = static_cast<int>(start.index);
+        c = static_cast<int>(in.tt) - 1;
+    }
+    TracebackStep step;
+    while (r >= 0 && c >= 0) {
+        if (in.pattern[r] == in.text[c]) {
+            step.ops.push_back(align::Op::Match);
+            --r;
+            --c;
+        } else if (interior.dhAt(r, c) == 1) {
+            step.ops.push_back(align::Op::Deletion);
+            --c;
+        } else if (interior.dvAt(r, c) == 1) {
+            step.ops.push_back(align::Op::Insertion);
+            --r;
+        } else {
+            step.ops.push_back(align::Op::Mismatch);
+            --r;
+            --c;
+        }
+    }
+    if (r < 0 && c < 0) {
+        step.next = NextTile::Diag;
+        step.next_pos = {TracebackPos::Edge::Bottom, t - 1};
+    } else if (r < 0) {
+        step.next = NextTile::Up;
+        step.next_pos = {TracebackPos::Edge::Bottom,
+                         static_cast<unsigned>(c)};
+    } else {
+        step.next = NextTile::Left;
+        step.next_pos = {TracebackPos::Edge::Right,
+                         static_cast<unsigned>(r)};
+    }
+    return step;
+}
+
+/**
+ * Check tileColumns against the interior cell by cell, then gmx.tb from
+ * every bottom- and right-edge start against the interior walk.
+ */
+void
+expectTracebackMatchesInterior(const TileInput &in, unsigned t)
+{
+    const TileInterior interior = tileInterior(in);
+    ColumnWords cols[kMaxTile];
+    tileColumns(in, in.tt, cols);
+    for (unsigned c = 0; c < in.tt; ++c) {
+        const DeltaVec dv{cols[c].pv, cols[c].mv};
+        const DeltaVec dh{cols[c].ph, cols[c].mh};
+        for (unsigned r = 0; r < in.tp; ++r) {
+            ASSERT_EQ(dv.at(r), interior.dvAt(r, c))
+                << "T=" << t << " r=" << r << " c=" << c;
+            ASSERT_EQ(dh.at(r), interior.dhAt(r, c))
+                << "T=" << t << " r=" << r << " c=" << c;
+        }
+        const u64 above = ~DeltaVec::laneMask(in.tp);
+        ASSERT_EQ((cols[c].pv | cols[c].mv | cols[c].ph | cols[c].mh) &
+                      above,
+                  0u);
+    }
+
+    GmxUnit unit(t);
+    unit.csrwPattern(in.pattern, in.tp);
+    unit.csrwText(in.text, in.tt);
+    std::vector<TracebackPos> starts;
+    for (unsigned c = 0; c < in.tt; ++c)
+        starts.push_back({TracebackPos::Edge::Bottom, c});
+    for (unsigned r = 0; r < in.tp; ++r)
+        starts.push_back({TracebackPos::Edge::Right, r});
+    for (const TracebackPos &start : starts) {
+        unit.csrwPos(start);
+        const TracebackStep got = unit.gmxTb(in.dv_in, in.dh_in);
+        const TracebackStep want = interiorWalk(in, start, t);
+        const std::string where =
+            "T=" + std::to_string(t) + " tp=" + std::to_string(in.tp) +
+            " tt=" + std::to_string(in.tt) +
+            (start.edge == TracebackPos::Edge::Bottom ? " bottom " : " right ") +
+            std::to_string(start.index);
+        ASSERT_EQ(got.ops.size(), want.ops.size()) << where;
+        for (size_t k = 0; k < got.ops.size(); ++k)
+            ASSERT_EQ(got.ops[k], want.ops[k]) << where << " op " << k;
+        ASSERT_EQ(got.next, want.next) << where;
+        ASSERT_EQ(got.next_pos, want.next_pos) << where;
+    }
+}
+
+TEST(Tile, GmxTbMatchesInteriorWalkOnRandomEdges)
+{
+    // Every tile size, full and partial tiles, random edge deltas.
+    seq::Generator gen(29);
+    for (unsigned t = 2; t <= kMaxTile; ++t) {
+        for (int rep = 0; rep < 4; ++rep) {
+            const unsigned tp =
+                rep == 0 ? t : 1 + static_cast<unsigned>(gen.prng().below(t));
+            const unsigned tt =
+                rep == 0 ? t : 1 + static_cast<unsigned>(gen.prng().below(t));
+            const auto p = gen.random(tp);
+            const auto txt = gen.random(tt);
+            TileInput in;
+            in.pattern = p.codes().data();
+            in.tp = tp;
+            in.text = txt.codes().data();
+            in.tt = tt;
+            for (unsigned r = 0; r < tp; ++r)
+                in.dv_in.set(r, static_cast<int>(gen.prng().below(3)) - 1);
+            for (unsigned c = 0; c < tt; ++c)
+                in.dh_in.set(c, static_cast<int>(gen.prng().below(3)) - 1);
+            expectTracebackMatchesInterior(in, t);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(Tile, GmxTbMatchesInteriorWalkOnNwEdges)
+{
+    // Edges cut from a real NW matrix at random offsets: the deltas a
+    // traceback actually meets, for every tile size and partial shapes.
+    seq::Generator gen(31);
+    const auto p = gen.random(160);
+    const auto txt = gen.mutate(p, 0.15);
+    NwTileOracle oracle(p, txt);
+    for (unsigned t = 2; t <= kMaxTile; ++t) {
+        for (int rep = 0; rep < 3; ++rep) {
+            const unsigned tp =
+                rep == 0 ? t : 1 + static_cast<unsigned>(gen.prng().below(t));
+            const unsigned tt =
+                rep == 0 ? t : 1 + static_cast<unsigned>(gen.prng().below(t));
+            const size_t i0 = gen.prng().below(p.size() - tp + 1);
+            const size_t j0 = gen.prng().below(txt.size() - tt + 1);
+            expectTracebackMatchesInterior(
+                oracle.input(p, txt, i0, j0, tp, tt), t);
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
 
 } // namespace
