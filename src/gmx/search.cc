@@ -58,33 +58,21 @@ semiGlobalBottomRow(const u8 *pattern, size_t n, const u8 *text, size_t m,
             const DeltaVec dh_in =
                 ti == 0 ? DeltaVec::zeros(tt) : dh[tj];
 
-            // Inline Myers column steps (same kernel as tileCompute, with
-            // the per-row symbol table shared across the text).
+            // The tile kernel's column steps, with the per-row symbol table
+            // shared across the text.
             u64 pv = dv.p & row_mask;
             u64 mv = dv.m & row_mask;
+            const u64 out_bit = u64{1} << (tp - 1);
             DeltaVec dh_out;
             for (unsigned c = 0; c < tt; ++c) {
-                u64 eq = eq_mask[tchunk[c]];
-                const int hin = dh_in.at(c);
-                if (hin < 0)
-                    eq |= 1;
-                const u64 xv = eq | mv;
-                const u64 xh = (((eq & pv) + pv) ^ pv) | eq;
-                u64 ph = mv | ~(xh | pv);
-                u64 mh = pv & xh;
-                const u64 out_bit = u64{1} << (tp - 1);
-                if (ph & out_bit)
+                const ColumnWords col = tileColumnStep(
+                    eq_mask[tchunk[c]], dh_in.at(c), row_mask, pv, mv);
+                if (col.ph & out_bit)
                     dh_out.p |= u64{1} << c;
-                else if (mh & out_bit)
+                else if (col.mh & out_bit)
                     dh_out.m |= u64{1} << c;
-                ph <<= 1;
-                mh <<= 1;
-                if (hin > 0)
-                    ph |= 1;
-                else if (hin < 0)
-                    mh |= 1;
-                pv = (mh | ~(xv | ph)) & row_mask;
-                mv = (ph & xv) & row_mask;
+                pv = col.pv;
+                mv = col.mv;
             }
             dv.p = pv;
             dv.m = mv;
