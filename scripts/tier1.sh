@@ -121,20 +121,23 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -R 'EngineBatch'
 GMX_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
     -j"$(nproc)" -R 'EngineBatch'
 
-echo "== UBSan pass (kernel registry + arena + engine tests) =="
+echo "== UBSan pass (kernel registry + arena + engine + GMX unit tests) =="
 # The KernelContext refactor routes every kernel's scratch through the
 # bump arena; UndefinedBehaviorSanitizer (no-recover) guards the pointer
 # arithmetic, alignment casts, and 64-bit shift tricks on those paths —
 # including the AVX2 TU's lane extracts and emulated 256-bit carries
-# (test_dispatch drives the dispatched and forced-scalar cascades).
+# (test_dispatch drives the dispatched and forced-scalar cascades). The
+# GMX tile step, gmx.tb column walk and ISA models shift by lane index up
+# to T = 64, where a shift by the full word width is undefined.
 cmake -B build-ubsan -S . -DGMX_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target \
     test_registry test_arena test_dispatch test_nw test_bpm \
     test_bpm_banded test_bitap \
     test_hirschberg test_gmx_full test_gmx_banded test_gmx_windowed \
-    test_windowed_stream test_engine test_engine_batch
+    test_windowed_stream test_engine test_engine_batch \
+    test_tile test_isa test_hw_arrays test_isa_sim
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-    -R 'Registry|ScratchArena|Dispatch|Nw|Bpm|Bitap|Hirschberg|FullGmx|BandedGmx|WindowedGmx|WindowedStream|Engine|Cascade|Pool|Batch'
+    -R 'Registry|ScratchArena|Dispatch|Nw|Bpm|Bitap|Hirschberg|FullGmx|BandedGmx|WindowedGmx|WindowedStream|Engine|Cascade|Pool|Batch|Tile|GmxUnit|GmxTbArrayTest|GmxAcArrayTest|Cpu|Programs|Assembler'
 
 echo "== Long-read pass (ASan streamed equivalence + 1 Mbp smoke) =="
 # The streaming windowed tier owns a reentrant stepper with per-window
