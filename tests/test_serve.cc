@@ -372,13 +372,21 @@ TEST(AlignServer, ConcurrentDuplicatesCoalesce)
 
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
+    // The worker pops its own deque newest-first, so a hot request queued
+    // before the worker picks up the blocker would run first. Wait until
+    // the blocker occupies the only worker.
+    auto running = std::make_shared<std::promise<void>>();
+    std::future<void> blocker_running = running->get_future();
     seq::Generator gen(11);
     const seq::SequencePair blocker_pair = gen.pair(50, 0.0);
     auto blocked = h.engines[0]->submit(
-        blocker_pair, align::PairAligner([open](const seq::SequencePair &) {
+        blocker_pair,
+        align::PairAligner([open, running](const seq::SequencePair &) {
+            running->set_value();
             open.wait();
             return align::AlignResult{};
         }));
+    blocker_running.wait();
 
     AlignClient client(h.clientConfig("dup"));
     ASSERT_TRUE(client.connect().ok());
@@ -1384,10 +1392,11 @@ TEST(AlignServer, WedgedShardBreakerOpensAndBatchSurvives)
                 open.wait();
                 return align::AlignResult{};
             })));
-        if (i == 0)
+        if (i == 0) {
             ASSERT_TRUE(eventually([&] {
                 return h.engines[0]->metrics().queue_depth == 0;
             }));
+        }
     }
     ASSERT_EQ(h.engines[0]->metrics().queue_depth, 2u);
 
