@@ -23,6 +23,10 @@ using seq::Sequence;
 struct PropParams
 {
     unsigned tile;
+    // Explicit zeroed padding. gtest prints a parameter's raw bytes into
+    // the listed test name, so implicit padding after `tile` would leak
+    // uninitialised memory and rename the tests on every discovery run.
+    unsigned zeroPad;
     size_t length;
     double error;
     u64 seed;
@@ -43,7 +47,7 @@ propGrid()
     for (unsigned tile : {8u, 32u, 64u}) {
         for (size_t len : {50u, 200u, 500u}) {
             for (double err : {0.02, 0.15}) {
-                grid.push_back({tile, len, err,
+                grid.push_back({tile, 0, len, err,
                                 9000 + tile + len +
                                     static_cast<u64>(err * 100)});
             }
