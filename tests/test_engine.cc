@@ -419,6 +419,37 @@ TEST(Engine, SubmitAfterStopReturnsEngineStopped)
     EXPECT_EQ(f.get().code(), StatusCode::EngineStopped);
 }
 
+TEST(Engine, SingleWorkerServesInSubmissionOrder)
+{
+    // Dispatch is FIFO: with one worker, requests submitted from one
+    // thread must run in exactly the order they were submitted.
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.microbatch_max = 1; // one request per pickup: every handoff counts
+    Engine engine(cfg);
+    constexpr int kRequests = 500;
+    std::atomic<int> next{0};
+    std::vector<int> ran_at(kRequests, -1);
+    seq::Generator gen(43);
+    const auto pair = gen.pair(20, 0.0);
+    std::vector<std::future<Outcome>> futures;
+    futures.reserve(kRequests);
+    for (int i = 0; i < kRequests; ++i) {
+        futures.push_back(engine.submit(
+            pair, align::PairAligner([&next, &ran_at,
+                                      i](const seq::SequencePair &) {
+                ran_at[i] = next.fetch_add(1);
+                return AlignResult{0, {}, false};
+            })));
+    }
+    for (auto &f : futures)
+        ASSERT_TRUE(f.get().ok());
+    int inversions = 0;
+    for (int i = 0; i < kRequests; ++i)
+        inversions += ran_at[i] != i;
+    EXPECT_EQ(inversions, 0);
+}
+
 TEST(Engine, MetricsSnapshotSerializesToJson)
 {
     EngineConfig cfg;
