@@ -138,7 +138,7 @@ main(int argc, char **argv)
                 kPairs);
 
     TextTable table({"workers", "queue", "time_s", "pairs/s", "Mbases/s",
-                     "speedup", "steals", "microbatches", "shed", "downgr",
+                     "speedup", "microbatches", "shed", "downgr",
                      "dl_miss"});
 
     engine::MetricsSnapshot last_snapshot;
@@ -173,8 +173,6 @@ main(int argc, char **argv)
                           TextTable::num(rate, 0),
                           TextTable::num(mbases / secs, 2),
                           TextTable::num(rate / base_rate, 2),
-                          TextTable::num(static_cast<long long>(
-                              snap.pool_steals)),
                           TextTable::num(static_cast<long long>(
                               snap.microbatches)),
                           TextTable::num(static_cast<long long>(snap.shed)),

@@ -7,7 +7,7 @@
 #   GMX_SANITIZE=thread scripts/tier1.sh
 #       additionally builds a ThreadSanitizer tree (with fault injection
 #       compiled in) and runs the concurrency-sensitive tests — engine,
-#       pool, cascade, batch, chaos — under it.
+#       cascade, engine batch, chaos — under it.
 #   GMX_SANITIZE=address scripts/tier1.sh
 #       same, with AddressSanitizer over the whole suite.
 #   GMX_SANITIZE=all scripts/tier1.sh
@@ -137,7 +137,7 @@ cmake --build build-ubsan -j"$(nproc)" --target \
     test_windowed_stream test_engine test_engine_batch \
     test_tile test_isa test_hw_arrays test_isa_sim
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
-    -R 'Registry|ScratchArena|Dispatch|Nw|Bpm|Bitap|Hirschberg|FullGmx|BandedGmx|WindowedGmx|WindowedStream|Engine|Cascade|Pool|Batch|Tile|GmxUnit|GmxTbArrayTest|GmxAcArrayTest|Cpu|Programs|Assembler'
+    -R 'Registry|ScratchArena|Dispatch|Nw|Bpm|Bitap|Hirschberg|FullGmx|BandedGmx|WindowedGmx|WindowedStream|Engine|Cascade|Batch|Tile|GmxUnit|GmxTbArrayTest|GmxAcArrayTest|Cpu|Programs|Assembler'
 
 echo "== Long-read pass (ASan streamed equivalence + 1 Mbp smoke) =="
 # The streaming windowed tier owns a reentrant stepper with per-window
@@ -160,12 +160,12 @@ echo "scale_1mbp smoke OK"
 sanitize="${GMX_SANITIZE:-}"
 
 if [[ "$sanitize" == "thread" || "$sanitize" == "all" ]]; then
-    echo "== ThreadSanitizer pass (engine/pool/batch/chaos tests) =="
+    echo "== ThreadSanitizer pass (engine/batch/chaos tests) =="
     cmake -B build-tsan -S . -DGMX_SANITIZE=thread -DGMX_FAULT_INJECTION=ON
     cmake --build build-tsan -j"$(nproc)" \
-        --target test_engine test_engine_batch test_batch test_chaos
+        --target test_engine test_engine_batch test_chaos
     ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-        -R 'Engine|Pool|Cascade|Batch|Chaos'
+        -R 'Engine|Cascade|Batch|Chaos'
 fi
 
 if [[ "$sanitize" == "address" || "$sanitize" == "all" ]]; then

@@ -1,13 +1,6 @@
 #include "align/batch.hh"
 
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <memory>
-#include <mutex>
-
 #include "common/logging.hh"
-#include "engine/pool.hh"
 
 namespace gmx::align {
 
@@ -55,125 +48,6 @@ validatePair(const seq::SequencePair &pair, const InputLimits &limits,
             limits.max_length_skew));
     }
     return Status();
-}
-
-namespace {
-
-/**
- * State shared between the caller and the pool runners. Heap-allocated
- * and reference-counted: a runner task that the pool schedules after the
- * call has already returned (because other runners finished the batch)
- * must still find valid state to observe "nothing left" in.
- */
-struct BatchState
-{
-    const std::vector<seq::SequencePair> *pairs = nullptr;
-    const PairAligner *aligner = nullptr;
-    size_t n = 0; //!< pairs->size(), readable after pairs dangles
-    std::vector<AlignResult> results;
-
-    // Work stealing via a shared cursor: pairs have highly variable cost
-    // (length, error), so static partitioning would straggle — the same
-    // reason the paper parallelizes inter-sequence (§7.2).
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error; // guarded by mu, set once via failed CAS
-
-    std::mutex mu;
-    std::condition_variable done;
-    size_t completed = 0; //!< pairs fully written to results (guarded by mu)
-    size_t active = 0;    //!< runners inside the claim/align loop
-};
-
-/** Claim-and-align loop; runs on the caller and on pool workers. */
-void
-runBatch(const std::shared_ptr<BatchState> &st)
-{
-    // Note: st->pairs / st->aligner are only dereferenced after a
-    // successful claim. A runner scheduled after batchAlign returned can
-    // no longer claim (cursor exhausted or failed set), so it must not
-    // touch them either — that is why n is cached here.
-    const size_t n = st->n;
-    {
-        std::lock_guard<std::mutex> lk(st->mu);
-        ++st->active;
-    }
-    size_t done_here = 0;
-    while (!st->failed.load(std::memory_order_relaxed)) {
-        const size_t idx = st->cursor.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= n)
-            break;
-        try {
-            st->results[idx] = (*st->aligner)((*st->pairs)[idx]);
-            ++done_here;
-        } catch (...) {
-            bool expected = false;
-            if (st->failed.compare_exchange_strong(expected, true)) {
-                std::lock_guard<std::mutex> lk(st->mu);
-                st->error = std::current_exception();
-            }
-            break;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lk(st->mu);
-        --st->active;
-        st->completed += done_here;
-    }
-    st->done.notify_all();
-}
-
-} // namespace
-
-std::vector<AlignResult>
-batchAlign(const std::vector<seq::SequencePair> &pairs,
-           const PairAligner &aligner, unsigned threads,
-           const InputLimits &limits)
-{
-    if (!aligner)
-        GMX_FATAL("batchAlign: empty aligner function");
-    // Validate up front: no kernel may see a malformed pair, and the
-    // caller gets a typed status naming the offending index.
-    for (size_t i = 0; i < pairs.size(); ++i) {
-        Status s = validatePair(pairs[i], limits);
-        if (!s.ok()) {
-            throw StatusError(Status(
-                s.code(), detail::format("pair %zu: %s", i,
-                                         s.message().c_str())));
-        }
-    }
-    // resolveWorkers clamps hardware_concurrency() == 0 to one worker.
-    threads = engine::WorkStealingPool::resolveWorkers(threads);
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(std::max<size_t>(pairs.size(), 1)));
-
-    if (pairs.empty())
-        return {};
-
-    auto st = std::make_shared<BatchState>();
-    st->pairs = &pairs;
-    st->aligner = &aligner;
-    st->n = pairs.size();
-    st->results.resize(pairs.size());
-
-    // threads-1 runners go to the persistent shared pool; the calling
-    // thread is the last runner, so the batch makes progress even when
-    // the pool is saturated (or when called from a pool worker).
-    for (unsigned t = 1; t < threads; ++t)
-        engine::sharedPool().submit([st] { runBatch(st); });
-    runBatch(st);
-
-    std::unique_lock<std::mutex> lk(st->mu);
-    st->done.wait(lk, [&] {
-        // Success: every pair written. Failure: also wait for in-flight
-        // runners so no aligner call can still touch results.
-        return st->completed == pairs.size() ||
-               (st->failed.load(std::memory_order_relaxed) &&
-                st->active == 0);
-    });
-    if (st->failed.load(std::memory_order_relaxed))
-        std::rethrow_exception(st->error);
-    return std::move(st->results);
 }
 
 } // namespace gmx::align

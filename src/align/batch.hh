@@ -1,21 +1,16 @@
 /**
  * @file
- * Batch alignment with inter-sequence parallelism.
- *
- * The paper's multicore strategy (§7.2): each pair aligns independently,
- * one GMX unit per core. This is the library-level equivalent — mapping
- * an aligner function over a batch of pairs on the persistent
- * engine::sharedPool() work-stealing pool (no per-call thread spawning).
- * Aligner functions must be thread-safe for distinct inputs (all aligners
- * in this repository are: they share no mutable state). For streaming
- * submission with backpressure and cascade routing, use engine::Engine.
+ * Pair-level admission shared by every serving path: the PairAligner
+ * signature, the length class a pair is admitted under, and the input
+ * limits validatePair() checks before a kernel sees the pair. Batches
+ * of pairs run through engine::Engine, which owns the worker threads,
+ * backpressure and cascade routing.
  */
 
 #ifndef GMX_ALIGN_BATCH_HH
 #define GMX_ALIGN_BATCH_HH
 
 #include <functional>
-#include <vector>
 
 #include "align/types.hh"
 #include "common/status.hh"
@@ -40,7 +35,7 @@ enum class LengthClass {
 
 /**
  * Admission limits applied to every pair before a kernel sees it.
- * Shared by align::batchAlign and engine::Engine::submit, so the whole
+ * Shared by engine::Engine::submit and serve::AlignServer, so the whole
  * pipeline rejects hostile inputs with a typed InvalidInput status
  * instead of handing them to a quadratic kernel. Zero means "no limit".
  */
@@ -80,17 +75,6 @@ Status validatePair(const seq::SequencePair &pair, const InputLimits &limits);
  */
 Status validatePair(const seq::SequencePair &pair, const InputLimits &limits,
                     LengthClass klass);
-
-/**
- * Align every pair of @p pairs with @p aligner on @p threads workers
- * (0 = one per hardware thread). Results are returned in input order;
- * exceptions from workers are rethrown on the calling thread. Every pair
- * is validated against @p limits up front; the first invalid pair makes
- * the whole call throw StatusError(InvalidInput) before any work runs.
- */
-std::vector<AlignResult> batchAlign(
-    const std::vector<seq::SequencePair> &pairs, const PairAligner &aligner,
-    unsigned threads = 0, const InputLimits &limits = {});
 
 } // namespace gmx::align
 

@@ -33,14 +33,20 @@ readyFuture(Status status)
 
 Engine::Engine(EngineConfig config)
     : config_(config), budget_(config.memory_budget_bytes),
-      trace_(config.trace_capacity, config.trace_sample_every),
-      pool_(config.workers)
+      trace_(config.trace_capacity, config.trace_sample_every)
 {
     if (config_.queue_capacity == 0)
         GMX_FATAL("Engine: queue_capacity must be nonzero");
     if (config_.microbatch_max == 0)
         config_.microbatch_max = 1;
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
+    // hardware_concurrency() may report 0; never start zero workers.
+    const unsigned workers =
+        config_.workers != 0
+            ? config_.workers
+            : std::max(1u, std::thread::hardware_concurrency());
+    workers_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 Engine::~Engine()
@@ -243,7 +249,7 @@ Engine::enqueue(Request req)
         metrics_.notePeak(depth);
         metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
     }
-    dispatch_cv_.notify_one();
+    work_cv_.notify_one();
     if (have_victim) {
         if (trace_.sampled(victim_id))
             trace_.record(victim_id, TraceEvent::Complete, trace_.nowUs(),
@@ -256,55 +262,40 @@ Engine::enqueue(Request req)
 }
 
 void
-Engine::dispatchLoop()
+Engine::workerLoop()
 {
     for (;;) {
-        // shared_ptr because std::function requires copyable targets and
-        // Request holds a move-only promise.
-        auto batch = std::make_shared<std::vector<Request>>();
+        std::vector<Request> batch;
         {
             std::unique_lock<std::mutex> lk(mu_);
-            // Wait for work AND a free dispatch slot: the throttle keeps
-            // pressure in the bounded queue where the policies act on it.
-            dispatch_cv_.wait(lk, [this] {
-                return (!queue_.empty() &&
-                        inflight_tasks_ < maxInflightTasks()) ||
-                       (stopping_ && queue_.empty());
-            });
-            if (queue_.empty()) {
-                // stopping_ and drained: dispatcher's work is done.
-                return;
-            }
-            batch->push_back(std::move(queue_.front()));
+            work_cv_.wait(lk, [this] { return !queue_.empty() || stopping_; });
+            if (queue_.empty())
+                return; // stopping_ and drained: this worker is done
+            batch.push_back(std::move(queue_.front()));
             queue_.pop_front();
             // Fuse the run of small requests behind the head into one
-            // pool task. The head itself may be large: a lone large head
+            // pickup. The head itself may be large: a lone large head
             // must not suppress fusing the smalls queued right behind it
             // (head-of-line fusion miss), and taking the run in queue
             // order keeps sizes unreordered.
-            while (batch->size() < config_.microbatch_max &&
+            while (batch.size() < config_.microbatch_max &&
                    !queue_.empty() && isSmall(queue_.front())) {
-                batch->push_back(std::move(queue_.front()));
+                batch.push_back(std::move(queue_.front()));
                 queue_.pop_front();
             }
-            inflight_ += batch->size();
-            ++inflight_tasks_;
+            inflight_ += batch.size();
             metrics_.queue_depth.store(queue_.size(),
                                        std::memory_order_relaxed);
         }
         queue_not_full_.notify_all();
-        if (batch->size() > 1) {
+        if (batch.size() > 1) {
             metrics_.microbatches.fetch_add(1, std::memory_order_relaxed);
-            metrics_.batched_pairs.fetch_add(batch->size(),
+            metrics_.batched_pairs.fetch_add(batch.size(),
                                              std::memory_order_relaxed);
         }
-        if (!pool_.trySubmit([this, batch] {
-                runRequests(std::move(*batch));
-            })) {
-            // Pool already shut down (tear-down race): run inline so
-            // every accepted future is still fulfilled.
-            runRequests(std::move(*batch));
-        }
+        GMX_FAULT_STALL();
+        runRequests(std::move(batch));
+        batches_executed_.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
@@ -701,11 +692,9 @@ Engine::runRequests(std::vector<Request> batch)
     {
         std::lock_guard<std::mutex> lk(mu_);
         inflight_ -= batch.size();
-        --inflight_tasks_;
         if (inflight_ == 0 && queue_.empty())
             idle_.notify_all();
     }
-    dispatch_cv_.notify_one(); // a dispatch slot just freed up
 }
 
 void
@@ -720,18 +709,17 @@ Engine::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (stopping_ && !dispatcher_.joinable())
-            return; // already stopped
         stopping_ = true;
     }
-    // Wake everyone: blocked submitters get EngineStopped Results, the
-    // dispatcher drains the queue into the pool and exits.
-    dispatch_cv_.notify_all();
+    // Wake everyone: blocked submitters get EngineStopped Results, and
+    // the workers drain the queue, fulfilling every accepted future,
+    // before they exit. Joined threads are no longer joinable, so a
+    // second stop() joins nothing.
+    work_cv_.notify_all();
     queue_not_full_.notify_all();
-    if (dispatcher_.joinable())
-        dispatcher_.join();
-    // Pool shutdown drains every dispatched task, fulfilling all futures.
-    pool_.shutdown();
+    for (std::thread &worker : workers_)
+        if (worker.joinable())
+            worker.join();
 }
 
 std::vector<Engine::AlignOutcome>
@@ -752,10 +740,9 @@ Engine::alignAll(const std::vector<seq::SequencePair> &pairs,
 MetricsSnapshot
 Engine::metrics() const
 {
-    const PoolStats ps = pool_.stats();
-    return metrics_.snapshot(pool_.workerCount(), ps.executed, ps.steals,
-                             budget_.limit(), budget_.reserved(),
-                             budget_.peak());
+    return metrics_.snapshot(
+        workerCount(), batches_executed_.load(std::memory_order_relaxed),
+        budget_.limit(), budget_.reserved(), budget_.peak());
 }
 
 } // namespace gmx::engine

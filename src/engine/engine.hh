@@ -1,12 +1,12 @@
 /**
  * @file
- * Alignment engine: persistent submission front-end over the
- * work-stealing pool.
+ * Alignment engine: persistent submission front-end whose workers pop
+ * a bounded request queue.
  *
  * The pipeline a request flows through:
  *
- *   submit() -> validation -> bounded MPMC queue -> dispatcher
- *            -> work-stealing pool -> admission (deadline, memory budget)
+ *   submit() -> validation -> bounded MPMC queue -> worker pop (+fusion)
+ *            -> admission (deadline, memory budget)
  *            -> cascade or custom aligner -> std::future<Result<AlignResult>>
  *
  * Error idiom: futures are ALWAYS fulfilled with a value — a
@@ -24,18 +24,22 @@
  *   ResourceExhausted — memory-budget admission failed (and no downgrade)
  *   Internal          — unexpected aligner failure
  *
- * The bounded queue is where backpressure lives: a full queue either
- * blocks the submitter, rejects the new request, or sheds the oldest
- * queued one — the three policies a service front-end needs when traffic
- * exceeds alignment capacity. The dispatcher fuses adjacent small pairs
- * into micro-batches so that short-read-sized requests amortize one pool
- * task per batch instead of paying per-pair scheduling cost, mirroring
- * how the paper's short-sequence workloads keep the GMX unit saturated.
+ * The bounded queue is the scheduler. It is where backpressure lives: a
+ * full queue either blocks the submitter, rejects the new request, or
+ * sheds the oldest queued one — the three policies a service front-end
+ * needs when traffic exceeds alignment capacity. Dispatch is FIFO: a
+ * free worker pops the head of the queue, so requests start in the
+ * order they were accepted. The worker also takes the run of small
+ * requests queued right behind the head as one micro-batch, so
+ * short-read-sized requests amortize one wake-up per batch instead of
+ * paying per-pair scheduling cost, mirroring how the paper's
+ * short-sequence workloads keep each core's GMX unit saturated (§7.2).
  */
 
 #ifndef GMX_ENGINE_ENGINE_HH
 #define GMX_ENGINE_ENGINE_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -52,7 +56,6 @@
 #include "engine/budget.hh"
 #include "engine/cascade.hh"
 #include "engine/metrics.hh"
-#include "engine/pool.hh"
 #include "engine/trace.hh"
 #include "sequence/sequence.hh"
 
@@ -80,7 +83,10 @@ enum class FilterBatching {
 /** Engine construction parameters. */
 struct EngineConfig
 {
-    /** Pool workers; 0 = one per hardware thread (never zero). */
+    /**
+     * Worker threads, each popping the queue; 0 = one per hardware
+     * thread (never zero).
+     */
     unsigned workers = 0;
 
     /** Bounded request-queue capacity. */
@@ -89,7 +95,7 @@ struct EngineConfig
     /** Policy when the queue is full. */
     Backpressure backpressure = Backpressure::Block;
 
-    /** Max small requests fused into one pool task (1 disables fusing). */
+    /** Max small requests one worker pickup fuses (1 disables fusing). */
     size_t microbatch_max = 8;
 
     /** Pairs with pattern+text bases below this count as "small". */
@@ -212,11 +218,11 @@ class Engine
 
     /**
      * Graceful stop: refuse new submissions, finish everything accepted,
-     * join dispatcher and workers. Idempotent; the destructor calls it.
+     * join the workers. Idempotent; the destructor calls it.
      */
     void stop();
 
-    /** Point-in-time metrics (queue, pool, tiers, budget, latency). */
+    /** Point-in-time metrics (queue, workers, tiers, budget, latency). */
     MetricsSnapshot metrics() const;
 
     /** The per-request span recorder (dump with trace().toJson()). */
@@ -230,7 +236,10 @@ class Engine
     const SlowRequestStore &slowRequests() const { return slow_; }
 
     const EngineConfig &config() const { return config_; }
-    unsigned workerCount() const { return pool_.workerCount(); }
+    unsigned workerCount() const
+    {
+        return static_cast<unsigned>(workers_.size());
+    }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -292,7 +301,9 @@ class Engine
     };
 
     std::future<AlignOutcome> enqueue(Request req);
-    void dispatchLoop();
+    /** One worker: pop the head plus its small-request run, serve it,
+     *  repeat; returns once stopping and the queue is drained. */
+    void workerLoop();
     void runRequests(std::vector<Request> batch);
     /** Admission + kernel for one request; never throws. @p pre carries
      *  the lane packer's filter-tier result when the request rode in a
@@ -318,29 +329,21 @@ class Engine
     EngineConfig config_;
     EngineMetrics metrics_;
     MemoryBudget budget_;
-    TraceRecorder trace_; //!< before pool_: workers record during teardown
+    TraceRecorder trace_;
     SlowRequestStore slow_;
     std::atomic<u64> next_id_{1};
-    WorkStealingPool pool_;
+    std::atomic<u64> batches_executed_{0}; //!< worker pickups served
 
     // Bounded MPMC request queue and its coordination.
     mutable std::mutex mu_;
-    std::condition_variable dispatch_cv_; //!< wakes the dispatcher
+    std::condition_variable work_cv_; //!< wakes idle workers
     std::condition_variable queue_not_full_;
     std::condition_variable idle_;
     std::deque<Request> queue_;
-    size_t inflight_ = 0;       //!< requests dispatched, not yet finished
-    size_t inflight_tasks_ = 0; //!< pool tasks dispatched, not yet finished
+    size_t inflight_ = 0; //!< requests popped by workers, not yet finished
     bool stopping_ = false;
 
-    /**
-     * Dispatch throttle: at most 2 outstanding pool tasks per worker.
-     * Without it the dispatcher would drain the bounded queue into the
-     * pool's unbounded deques and backpressure could never engage.
-     */
-    size_t maxInflightTasks() const { return 2 * pool_.workerCount(); }
-
-    std::thread dispatcher_;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace gmx::engine

@@ -104,7 +104,6 @@ renderOpenMetrics(const MetricsSnapshot &snap)
         os << "gmx_filter_batch_groups_total{lanes=\"" << (l + 1)
            << "\"} " << snap.filter_batch_lanes[l] << "\n";
     counter(os, "gmx_pool_tasks_executed", snap.pool_executed);
-    counter(os, "gmx_pool_steals", snap.pool_steals);
 
     // Queue / pool / memory-budget gauges.
     gauge(os, "gmx_queue_depth", static_cast<double>(snap.queue_depth));

@@ -19,8 +19,9 @@
  * Injection points:
  *   AllocFail   — a simulated allocation failure before kernel work;
  *                 the engine must surface ResourceExhausted.
- *   WorkerStall — a pool worker sleeps mid-pipeline; siblings must keep
- *                 the engine live (no deadlock, no starvation).
+ *   WorkerStall — an engine worker sleeps after popping a batch, before
+ *                 serving it; siblings must keep the engine live (no
+ *                 deadlock, no starvation).
  *   QueueFull   — the bounded queue reports full spuriously; the armed
  *                 backpressure policy must engage.
  *   TaskError   — a spurious exception from inside a task; the engine

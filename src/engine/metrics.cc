@@ -107,7 +107,7 @@ summarize(const LatencyHistogram &h)
 } // namespace
 
 MetricsSnapshot
-EngineMetrics::snapshot(u64 pool_workers, u64 pool_executed, u64 pool_steals,
+EngineMetrics::snapshot(u64 pool_workers, u64 pool_executed,
                         u64 mem_budget_bytes, u64 mem_reserved_bytes,
                         u64 mem_reserved_peak) const
 {
@@ -138,7 +138,6 @@ EngineMetrics::snapshot(u64 pool_workers, u64 pool_executed, u64 pool_steals,
     s.arena_peak_bytes = arena_peak_bytes.load(std::memory_order_relaxed);
     s.pool_workers = pool_workers;
     s.pool_executed = pool_executed;
-    s.pool_steals = pool_steals;
     for (unsigned t = 0; t < kTierCount; ++t) {
         s.tier_hits[t] = tier_hits[t].load(std::memory_order_relaxed);
         s.tier_peak_bytes[t] =
@@ -215,7 +214,6 @@ MetricsSnapshot::toJson() const
     os << ",\"pool\":{";
     os << "\"workers\":" << pool_workers;
     os << ",\"executed\":" << pool_executed;
-    os << ",\"steals\":" << pool_steals;
     os << "}";
     os << ",\"tiers\":{";
     for (unsigned t = 0; t < kTierCount; ++t) {

@@ -135,10 +135,15 @@ struct MetricsSnapshot
     u64 mem_reserved_peak = 0;  //!< high-water mark of reserved estimates
     u64 arena_peak_bytes = 0;   //!< max per-worker scratch-arena footprint
 
-    // Work-stealing pool.
-    u64 pool_workers = 0;  //!< worker threads
-    u64 pool_executed = 0; //!< tasks executed
-    u64 pool_steals = 0;   //!< tasks obtained by stealing from a sibling
+    // Engine workers.
+    u64 pool_workers = 0;  //!< worker threads popping the queue
+    u64 pool_executed = 0; //!< worker pickups (fused batches) served
+    /**
+     * Always 0: workers pop one shared FIFO queue, so there is nothing
+     * to steal. Kept only because perfbench/layers.cc still reads it;
+     * it goes when that benchmark drops engine.steals_per_kpair.
+     */
+    u64 pool_steals = 0;
 
     // Cascade tiers.
     std::array<u64, kTierCount> tier_hits{}; //!< completions per tier
@@ -277,11 +282,11 @@ class EngineMetrics
     void notePeak(u64 depth);
 
     /**
-     * Copy everything into a snapshot. Pool and budget numbers are
+     * Copy everything into a snapshot. Worker and budget numbers are
      * passed in by the engine, which owns both.
      */
     MetricsSnapshot snapshot(u64 pool_workers, u64 pool_executed,
-                             u64 pool_steals, u64 mem_budget_bytes = 0,
+                             u64 mem_budget_bytes = 0,
                              u64 mem_reserved_bytes = 0,
                              u64 mem_reserved_peak = 0) const;
 

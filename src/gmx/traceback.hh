@@ -1,9 +1,11 @@
 /**
  * @file
- * Pieces shared by the Full(GMX) and Banded(GMX) drivers: folding the
- * GmxUnit census into KernelCounts, and the tile-wise traceback of
- * Algorithm 2. The drivers differ only in where a tile's input edges are
- * stored, so the walk takes the two edge lookups as callables.
+ * Pieces shared by the Full(GMX) and Banded(GMX) drivers and the
+ * gate-level RtlAligner: folding the GmxUnit census into KernelCounts,
+ * and the tile-wise traceback of Algorithm 2. The walk from tile to
+ * tile is the same everywhere; only the way one tile is traced differs
+ * (a GmxUnit gmx.tb, or the GMX-TB netlist), so walkTiles takes that
+ * per-tile step as a callable.
  */
 
 #ifndef GMX_GMX_TRACEBACK_HH
@@ -31,48 +33,26 @@ foldUnitCounts(KernelCounts *counts, const GmxInstrCounts &unit)
 }
 
 /**
- * Algorithm 2: trace the alignment path from D[n][m] back to the origin,
- * one gmx.tb per tile, finishing along the matrix boundary once the path
- * reaches row or column 0.
+ * Algorithm 2's tile walk: trace the alignment path from D[n][m] back to
+ * the origin, one tile step at a time, finishing along the matrix
+ * boundary once the path reaches row or column 0.
  *
- * @p dv_input(ti, tj, tp) and @p dh_input(ti, tj, tt) return the left and
- * top input edges of tile (ti, tj) as the forward pass stored them.
+ * @p step(ti, tj) traces tile (ti, tj) of size @p t from the position
+ * where the path entered it and returns its TracebackStep.
  */
-template <typename DvInput, typename DhInput>
+template <typename TileStep>
 align::Cigar
-tileTraceback(GmxUnit &unit, const seq::Sequence &pattern,
-              const seq::Sequence &text, KernelContext &ctx,
-              DvInput dv_input, DhInput dh_input)
+walkTiles(size_t n, size_t m, unsigned t, TileStep step)
 {
     using align::Op;
-    const size_t n = pattern.size();
-    const size_t m = text.size();
-    const unsigned t = unit.tileSize();
-    KernelCounts *counts = ctx.countsSink();
-
     std::vector<Op> ops; // collected backwards (from (n, m) to origin)
     ops.reserve(n + m);
     size_t ai = n, aj = m; // absolute DP cell still to be reached
     size_t ti = (n - 1) / t, tj = (m - 1) / t;
-    unit.csrwPos({TracebackPos::Edge::Bottom,
-                  static_cast<unsigned>(m - tj * t) - 1});
 
     while (ai > 0 && aj > 0) {
-        ctx.poll();
-        const unsigned tp =
-            static_cast<unsigned>(std::min<size_t>(t, n - ti * t));
-        const unsigned tt =
-            static_cast<unsigned>(std::min<size_t>(t, m - tj * t));
-        unit.csrwPattern(pattern.codes().data() + ti * t, tp);
-        unit.csrwText(text.codes().data() + tj * t, tt);
-        const TracebackStep step =
-            unit.gmxTb(dv_input(ti, tj, tp), dh_input(ti, tj, tt));
-        if (counts) {
-            counts->loads += 2;
-            counts->stores += 2; // gmx_lo/gmx_hi spilled to the output
-            counts->alu += 8;
-        }
-        for (Op op : step.ops) {
+        const TracebackStep tile = step(ti, tj);
+        for (Op op : tile.ops) {
             ops.push_back(op);
             if (op != Op::Deletion)
                 --ai;
@@ -83,7 +63,7 @@ tileTraceback(GmxUnit &unit, const seq::Sequence &pattern,
         }
         if (ai == 0 || aj == 0)
             break;
-        switch (step.next) {
+        switch (tile.next) {
           case NextTile::Diag:
             --ti;
             --tj;
@@ -104,6 +84,45 @@ tileTraceback(GmxUnit &unit, const seq::Sequence &pattern,
 
     std::reverse(ops.begin(), ops.end());
     return align::Cigar(std::move(ops));
+}
+
+/**
+ * Algorithm 2 on a GmxUnit: one csrw pair plus one gmx.tb per tile.
+ *
+ * @p dv_input(ti, tj, tp) and @p dh_input(ti, tj, tt) return the left and
+ * top input edges of tile (ti, tj) as the forward pass stored them.
+ */
+template <typename DvInput, typename DhInput>
+align::Cigar
+tileTraceback(GmxUnit &unit, const seq::Sequence &pattern,
+              const seq::Sequence &text, KernelContext &ctx,
+              DvInput dv_input, DhInput dh_input)
+{
+    const size_t n = pattern.size();
+    const size_t m = text.size();
+    const unsigned t = unit.tileSize();
+    KernelCounts *counts = ctx.countsSink();
+
+    // The path enters the last tile at the bottom edge's last column.
+    unit.csrwPos({TracebackPos::Edge::Bottom,
+                  static_cast<unsigned>(m - (m - 1) / t * t) - 1});
+    return walkTiles(n, m, t, [&](size_t ti, size_t tj) {
+        ctx.poll();
+        const unsigned tp =
+            static_cast<unsigned>(std::min<size_t>(t, n - ti * t));
+        const unsigned tt =
+            static_cast<unsigned>(std::min<size_t>(t, m - tj * t));
+        unit.csrwPattern(pattern.codes().data() + ti * t, tp);
+        unit.csrwText(text.codes().data() + tj * t, tt);
+        const TracebackStep step =
+            unit.gmxTb(dv_input(ti, tj, tp), dh_input(ti, tj, tt));
+        if (counts) {
+            counts->loads += 2;
+            counts->stores += 2; // gmx_lo/gmx_hi spilled to the output
+            counts->alu += 8;
+        }
+        return step;
+    });
 }
 
 } // namespace gmx::core

@@ -1,18 +1,15 @@
 #include "hw/rtl_aligner.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "gmx/full.hh"
+#include "gmx/traceback.hh"
 
 namespace gmx::hw {
 
 namespace {
 
 using align::AlignResult;
-using align::Op;
 using core::DeltaVec;
-using core::NextTile;
 using core::TileEdges;
 using core::TileInput;
 using core::TracebackPos;
@@ -94,47 +91,15 @@ RtlAligner::align(const seq::Sequence &pattern, const seq::Sequence &text)
     res.distance = dist;
     res.has_cigar = true;
 
-    // Gate-level tile-wise traceback.
-    std::vector<Op> ops;
-    ops.reserve(pattern.size() + text.size());
-    size_t ai = pattern.size(), aj = text.size();
-    size_t ti = gr - 1, tj = gc - 1;
+    // Gate-level tile-wise traceback: the netlist traces each tile from
+    // the position the previous tile handed it.
     TracebackPos pos{TracebackPos::Edge::Bottom, t_ - 1};
-
-    while (ai > 0 && aj > 0) {
-        const auto step = tb_.run(tile_input(ti, tj), pos);
-        for (Op op : step.ops) {
-            ops.push_back(op);
-            if (op != Op::Deletion)
-                --ai;
-            if (op != Op::Insertion)
-                --aj;
-            if (ai == 0 || aj == 0)
-                break;
-        }
-        if (ai == 0 || aj == 0)
-            break;
-        pos = step.next_pos;
-        switch (step.next) {
-          case NextTile::Diag:
-            --ti;
-            --tj;
-            break;
-          case NextTile::Up:
-            --ti;
-            break;
-          case NextTile::Left:
-            --tj;
-            break;
-        }
-    }
-    for (; aj > 0; --aj)
-        ops.push_back(Op::Deletion);
-    for (; ai > 0; --ai)
-        ops.push_back(Op::Insertion);
-
-    std::reverse(ops.begin(), ops.end());
-    res.cigar = align::Cigar(std::move(ops));
+    res.cigar = core::walkTiles(
+        pattern.size(), text.size(), t_, [&](size_t ti, size_t tj) {
+            const core::TracebackStep step = tb_.run(tile_input(ti, tj), pos);
+            pos = step.next_pos;
+            return step;
+        });
     return res;
 }
 

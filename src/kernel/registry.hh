@@ -8,8 +8,8 @@
  * touching five layers. The registry makes the kernel set data-driven:
  * a descriptor names the entry point (uniform KernelContext signature),
  * its admission byte estimator, and its capability flags, and the
- * cascade tier list, budget admission, align::batchAlign harnesses, and
- * the registry-driven equivalence test all consume it. Adding a kernel
+ * cascade tier list, budget admission, engine custom-aligner harnesses,
+ * and the registry-driven equivalence test all consume it. Adding a kernel
  * is one registration plus tests passing (see DESIGN.md §4g for the
  * kernel-author checklist).
  */
@@ -125,8 +125,8 @@ class AlignerRegistry
 /**
  * A thread-safe align::PairAligner running the named kernel with
  * @p params. Each worker thread reuses a thread-local ScratchArena, so
- * batchAlign and the benches get the same allocator-frugal hot path as
- * the engine's workers.
+ * custom-aligner requests and the benches get the same allocator-frugal
+ * hot path as the engine's cascade.
  */
 align::PairAligner makeAligner(std::string_view name,
                                const KernelParams &params = {});

@@ -1,61 +1,21 @@
 /**
  * @file
- * Tests for the batch alignment API and the matrix view helpers.
+ * Tests for pair validation (align::validatePair) and the matrix view
+ * helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 
 #include "align/batch.hh"
 #include "align/matrix_view.hh"
 #include "align/nw.hh"
-#include "common/logging.hh"
 #include "common/status.hh"
-#include "gmx/full.hh"
-#include "sequence/dataset.hh"
+#include "sequence/generator.hh"
 
 namespace gmx::align {
 namespace {
-
-TEST(Batch, MatchesSequentialResultsInOrder)
-{
-    const auto ds = seq::makeDataset("b", 300, 0.08, 20, 1301);
-    const PairAligner aligner = [](const seq::SequencePair &p) {
-        return core::fullGmxAlign(p.pattern, p.text);
-    };
-    const auto parallel = batchAlign(ds.pairs, aligner, 4);
-    ASSERT_EQ(parallel.size(), ds.pairs.size());
-    for (size_t i = 0; i < ds.pairs.size(); ++i) {
-        EXPECT_EQ(parallel[i].distance,
-                  nwDistance(ds.pairs[i].pattern, ds.pairs[i].text))
-            << i;
-        EXPECT_EQ(parallel[i].cigar,
-                  aligner(ds.pairs[i]).cigar)
-            << i;
-    }
-}
-
-TEST(Batch, EmptyBatchAndSingleThread)
-{
-    const PairAligner aligner = [](const seq::SequencePair &p) {
-        return core::fullGmxAlign(p.pattern, p.text);
-    };
-    EXPECT_TRUE(batchAlign({}, aligner, 4).empty());
-    const auto ds = seq::makeDataset("b1", 100, 0.05, 3, 1303);
-    const auto one = batchAlign(ds.pairs, aligner, 1);
-    EXPECT_EQ(one.size(), 3u);
-}
-
-TEST(Batch, PropagatesWorkerExceptions)
-{
-    const auto ds = seq::makeDataset("b2", 50, 0.05, 8, 1307);
-    const PairAligner bomb = [](const seq::SequencePair &) -> AlignResult {
-        GMX_FATAL("boom");
-    };
-    EXPECT_THROW(batchAlign(ds.pairs, bomb, 3), FatalError);
-    EXPECT_THROW(batchAlign(ds.pairs, PairAligner(), 3), FatalError);
-}
 
 TEST(Validation, RejectsEmptySequences)
 {
@@ -99,28 +59,6 @@ TEST(Validation, RejectsOversizedAndSkewedPairs)
     const auto text = gen.random(60);
     const seq::SequencePair skewed{text.substr(0, 30), text};
     EXPECT_EQ(validatePair(skewed, skew).code(), StatusCode::InvalidInput);
-}
-
-TEST(Validation, BatchAlignRejectsBeforeAnyWorkRuns)
-{
-    std::atomic<int> calls{0};
-    const PairAligner counting = [&calls](const seq::SequencePair &p) {
-        calls.fetch_add(1);
-        return core::fullGmxAlign(p.pattern, p.text);
-    };
-    seq::Generator gen(2031);
-    std::vector<seq::SequencePair> pairs;
-    pairs.push_back(gen.pair(50, 0.05));
-    pairs.push_back({seq::Sequence(""), seq::Sequence("ACGT")});
-    try {
-        batchAlign(pairs, counting, 2);
-        FAIL() << "expected StatusError";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), StatusCode::InvalidInput);
-        // The message names the offending pair index.
-        EXPECT_NE(e.status().message().find("pair 1"), std::string::npos);
-    }
-    EXPECT_EQ(calls.load(), 0); // validation precedes all alignment work
 }
 
 TEST(MatrixView, RendersPaperFigure1)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the alignment engine subsystem: the work-stealing pool, the
- * bounded submission queue with its backpressure policies, the adaptive
+ * Tests for the alignment engine subsystem: the worker threads popping
+ * the bounded submission queue, its backpressure policies, the adaptive
  * cascade, micro-batching, metrics, graceful shutdown — and the
  * robustness layer: typed Status results, input validation, per-request
  * deadlines, cooperative cancellation, and the memory-budget gate.
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <thread>
 
-#include "align/batch.hh"
 #include "align/nw.hh"
 #include "align/verify.hh"
 #include "common/logging.hh"
@@ -21,7 +20,6 @@
 #include "engine/budget.hh"
 #include "engine/cascade.hh"
 #include "engine/engine.hh"
-#include "engine/pool.hh"
 #include "gmx/full.hh"
 #include "sequence/dataset.hh"
 
@@ -31,82 +29,6 @@ namespace {
 using align::AlignResult;
 using Outcome = Engine::AlignOutcome;
 using std::chrono::milliseconds;
-
-// ---------------------------------------------------------------- pool
-
-TEST(Pool, ExecutesEverySubmittedTask)
-{
-    WorkStealingPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i] { sum.fetch_add(i); });
-    pool.shutdown();
-    EXPECT_EQ(sum.load(), 5050);
-    const auto stats = pool.stats();
-    EXPECT_EQ(stats.submitted, 100u);
-    EXPECT_EQ(stats.executed, 100u);
-}
-
-TEST(Pool, ShutdownDrainsQueuedWork)
-{
-    std::atomic<int> ran{0};
-    {
-        WorkStealingPool pool(2);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&ran] {
-                std::this_thread::sleep_for(milliseconds(1));
-                ran.fetch_add(1);
-            });
-        }
-        // Destructor must finish all 50, not abandon the queue.
-    }
-    EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(Pool, ResolveWorkersClampsToAtLeastOne)
-{
-    EXPECT_GE(WorkStealingPool::resolveWorkers(0), 1u);
-    EXPECT_EQ(WorkStealingPool::resolveWorkers(7), 7u);
-}
-
-TEST(Pool, RejectsSubmitAfterShutdown)
-{
-    WorkStealingPool pool(1);
-    pool.shutdown();
-    EXPECT_THROW(pool.submit([] {}), FatalError);
-}
-
-TEST(Pool, TrySubmitReturnsFalseAfterShutdown)
-{
-    WorkStealingPool pool(1);
-    EXPECT_TRUE(pool.trySubmit([] {}));
-    pool.shutdown();
-    EXPECT_FALSE(pool.trySubmit([] {}));
-}
-
-TEST(Pool, StealsWhenOneWorkerIsPinned)
-{
-    // Pin worker deques with a blocker, then flood tasks: with 4 workers
-    // fed round-robin, idle workers must steal from loaded deques.
-    WorkStealingPool pool(4);
-    std::atomic<bool> release{false};
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 2; ++i) {
-        pool.submit([&release] {
-            while (!release.load())
-                std::this_thread::sleep_for(milliseconds(1));
-        });
-    }
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    // Wait for the flood to finish while two workers are still blocked.
-    for (int spin = 0; spin < 5000 && ran.load() < 200; ++spin)
-        std::this_thread::sleep_for(milliseconds(1));
-    EXPECT_EQ(ran.load(), 200);
-    EXPECT_GT(pool.stats().steals, 0u);
-    release.store(true);
-    pool.shutdown();
-}
 
 // ------------------------------------------------------------- cascade
 
@@ -215,6 +137,71 @@ TEST(Engine, OrderedResultsUnderConcurrency)
     EXPECT_EQ(snap.submitted, ds.pairs.size());
     EXPECT_EQ(snap.completed, ds.pairs.size());
     EXPECT_EQ(snap.queue_depth, 0u);
+    // Every request rode exactly one worker pickup; fusion may merge them.
+    EXPECT_GE(snap.pool_executed, 1u);
+    EXPECT_LE(snap.pool_executed, ds.pairs.size());
+    EXPECT_EQ(snap.pool_workers, 4u);
+}
+
+TEST(Engine, WorkerCountResolvesZero)
+{
+    EngineConfig cfg;
+    cfg.workers = 0; // one per hardware thread, never zero
+    EXPECT_GE(Engine(cfg).workerCount(), 1u);
+    cfg.workers = 3;
+    Engine engine(cfg);
+    EXPECT_EQ(engine.workerCount(), 3u);
+    EXPECT_EQ(engine.metrics().pool_workers, 3u);
+    EXPECT_TRUE(engine.alignAll({}).empty());
+}
+
+TEST(Engine, PinnedWorkersDoNotStallTheirSiblings)
+{
+    // Two of four workers are held by gate aligners; the other two must
+    // still drain a flood of quick requests queued behind them.
+    std::atomic<bool> release{false};
+    std::atomic<int> pinned{0};
+    EngineConfig cfg;
+    cfg.workers = 4;
+    cfg.microbatch_max = 1;
+    Engine engine(cfg);
+    struct Opener
+    {
+        std::atomic<bool> &release;
+        ~Opener() { release.store(true); } // never join a pinned worker
+    } opener{release};
+    const align::PairAligner gate = [&](const seq::SequencePair &) {
+        pinned.fetch_add(1);
+        while (!release.load())
+            std::this_thread::sleep_for(milliseconds(1));
+        return AlignResult{0, {}, false};
+    };
+    const align::PairAligner quick = [](const seq::SequencePair &) {
+        return AlignResult{0, {}, false};
+    };
+    seq::Generator gen(29);
+    const auto pair = gen.pair(20, 0.0);
+    std::vector<std::future<Outcome>> gates;
+    for (int i = 0; i < 2; ++i)
+        gates.push_back(engine.submit(pair, gate));
+    for (int spin = 0; pinned.load() < 2 && spin < 5000; ++spin)
+        std::this_thread::sleep_for(milliseconds(1));
+    ASSERT_EQ(pinned.load(), 2) << "gates never started";
+
+    std::vector<std::future<Outcome>> flood;
+    for (int i = 0; i < 200; ++i)
+        flood.push_back(engine.submit(pair, quick));
+    for (auto &f : flood) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready);
+        EXPECT_TRUE(f.get().ok());
+    }
+    for (auto &f : gates) // still held: the siblings served the flood
+        EXPECT_NE(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+    release.store(true);
+    for (auto &f : gates)
+        EXPECT_TRUE(f.get().ok());
 }
 
 TEST(Engine, CustomAlignerAndTypedFailure)
@@ -376,7 +363,7 @@ TEST(Engine, MicrobatchesSmallRequests)
     for (int i = 0; i < 64; ++i)
         pairs.push_back(gen.pair(60, 0.05));
     // Burst-submit, then drain: with a single worker the queue backs up,
-    // so the dispatcher has runs of small requests available to fuse.
+    // so the worker finds runs of small requests available to fuse.
     const auto results = engine.alignAll(pairs, false);
     for (size_t i = 0; i < pairs.size(); ++i) {
         ASSERT_TRUE(results[i].ok());
@@ -468,7 +455,9 @@ TEST(Engine, MetricsSnapshotSerializesToJson)
     EXPECT_NE(json.find("\"submitted\":10"), std::string::npos);
     EXPECT_NE(json.find("\"tiers\":{"), std::string::npos);
     EXPECT_NE(json.find("\"filter\":"), std::string::npos);
-    EXPECT_NE(json.find("\"steals\":"), std::string::npos);
+    EXPECT_NE(json.find("\"pool\":{\"workers\":2,\"executed\":"),
+              std::string::npos);
+    EXPECT_EQ(json.find("\"steals\""), std::string::npos);
     EXPECT_NE(json.find("\"deadline_missed\":0"), std::string::npos);
     EXPECT_NE(json.find("\"memory\":{"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
@@ -721,41 +710,6 @@ TEST(EngineBudget, EstimatorsAreMonotonicAndTileAware)
               fullGmxTracebackBytes(3000, 3000, 32));
     EXPECT_GT(fullGmxTracebackBytes(6000, 6000, 32),
               fullGmxTracebackBytes(3000, 3000, 32));
-}
-
-// ------------------------------------------------- batchAlign rewiring
-
-TEST(BatchOnEngine, MatchesGroundTruthAndKeepsOrder)
-{
-    const auto ds = seq::makeDataset("be", 250, 0.08, 30, 47);
-    const align::PairAligner aligner = [](const seq::SequencePair &p) {
-        return core::fullGmxAlign(p.pattern, p.text);
-    };
-    const auto results = align::batchAlign(ds.pairs, aligner, 4);
-    ASSERT_EQ(results.size(), ds.pairs.size());
-    for (size_t i = 0; i < ds.pairs.size(); ++i) {
-        EXPECT_EQ(results[i].distance,
-                  align::nwDistance(ds.pairs[i].pattern, ds.pairs[i].text))
-            << i;
-    }
-}
-
-TEST(BatchOnEngine, NestedBatchDoesNotDeadlock)
-{
-    // batchAlign from inside a pool task: the caller participates in its
-    // own batch, so a saturated shared pool cannot deadlock it.
-    const auto inner_ds = seq::makeDataset("nest", 80, 0.05, 6, 53);
-    const align::PairAligner aligner = [](const seq::SequencePair &p) {
-        return core::fullGmxAlign(p.pattern, p.text);
-    };
-    std::atomic<bool> ok{false};
-    sharedPool().submit([&] {
-        const auto res = align::batchAlign(inner_ds.pairs, aligner, 4);
-        ok.store(res.size() == inner_ds.pairs.size());
-    });
-    for (int spin = 0; spin < 10000 && !ok.load(); ++spin)
-        std::this_thread::sleep_for(milliseconds(1));
-    EXPECT_TRUE(ok.load());
 }
 
 } // namespace

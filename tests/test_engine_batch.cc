@@ -126,21 +126,21 @@ TEST(EngineBatch, MixedSizeGroupsAndPartialTailsMatchScalar)
 }
 
 /**
- * Fixture that wedges a 1-worker engine's both dispatch slots behind
- * gate aligners, so requests submitted next are provably queued together
- * and fuse into one micro-batch on release. The engine member is built
- * by start() so each test picks its own config.
+ * Fixture that wedges a 1-worker engine behind a gate aligner, so
+ * requests submitted next are provably queued together and fuse into one
+ * micro-batch on release. The engine member is built by start() so each
+ * test picks its own config.
  */
 struct BlockedEngine
 {
     std::atomic<int> running{0};
     std::atomic<bool> release{false};
-    std::vector<std::future<Outcome>> blockers;
+    std::future<Outcome> blocker;
     std::unique_ptr<Engine> engine;
 
     void start(EngineConfig cfg)
     {
-        cfg.workers = 1; // maxInflightTasks() == 2
+        cfg.workers = 1;
         engine = std::make_unique<Engine>(cfg);
         seq::Generator gen(1);
         const align::PairAligner gate =
@@ -150,19 +150,13 @@ struct BlockedEngine
                     std::this_thread::sleep_for(milliseconds(1));
                 return AlignResult{0, {}, false};
             };
-        // First blocker: wait until it is RUNNING on the lone worker.
-        blockers.push_back(engine->submit(gen.pair(20, 0.0), gate));
+        // Wait until the blocker is RUNNING on the lone worker: the
+        // queue is then empty, so the payload submitted next can only
+        // queue behind it — and fuse.
+        blocker = engine->submit(gen.pair(20, 0.0), gate);
         for (int spin = 0; running.load() < 1 && spin < 5000; ++spin)
             std::this_thread::sleep_for(milliseconds(1));
-        ASSERT_EQ(running.load(), 1) << "blocker 1 stuck";
-        // Second blocker: with one worker it cannot run yet, but it must
-        // be DISPATCHED (slot 2 taken, queue drained) before the payload
-        // is submitted, so the payload can only queue — and fuse.
-        blockers.push_back(engine->submit(gen.pair(20, 0.0), gate));
-        for (int spin = 0;
-             engine->metrics().queue_depth > 0 && spin < 5000; ++spin)
-            std::this_thread::sleep_for(milliseconds(1));
-        ASSERT_EQ(engine->metrics().queue_depth, 0u) << "blocker 2 stuck";
+        ASSERT_EQ(running.load(), 1) << "blocker stuck";
     }
 
     ~BlockedEngine() { release.store(true); }
@@ -170,8 +164,7 @@ struct BlockedEngine
     void releaseAll()
     {
         release.store(true);
-        for (auto &f : blockers)
-            f.get();
+        blocker.get();
     }
 };
 
@@ -188,7 +181,7 @@ TEST(EngineBatch, FusedRequestsPackIntoLaneGroupsWithOccupancyCounters)
     if (HasFatalFailure())
         return;
 
-    // Seven eligible smalls queue behind the wedged slots, fuse into one
+    // Seven eligible smalls queue behind the wedged worker, fuse into one
     // micro-batch, and pack as one full quad plus a 3-lane tail.
     seq::Generator gen(2024);
     std::vector<seq::SequencePair> pairs;
@@ -234,7 +227,7 @@ TEST(EngineBatch, ExpiredLaneIsExcludedFromPackingAndFastFails)
         return;
 
     // Four fused requests, one with a deadline that expires while the
-    // blockers hold the engine: the packer must not give it a lane (its
+    // blocker holds the engine: the packer must not give it a lane (its
     // siblings pack as a 3-lane group) and runOne must fast-fail it.
     seq::Generator gen(31);
     std::vector<seq::SequencePair> pairs;
@@ -391,8 +384,8 @@ TEST(EngineBatch, LargeHeadNoLongerSuppressesFusingTheSmallRunBehindIt)
 {
     // Satellite 4 regression: a large request at the batch head used to
     // disable fusion for the whole dispatch round, so the run of smalls
-    // behind it paid one pool task each. The fixed dispatcher fuses the
-    // smalls behind the large head without reordering: one task, four
+    // behind it paid one pickup each. A worker now fuses the smalls
+    // behind the large head without reordering: one pickup, four
     // batched pairs (the old gate reported zero batched pairs here,
     // because the 3-element small run was never fused at all).
     EngineConfig cfg;

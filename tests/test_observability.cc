@@ -512,7 +512,7 @@ TEST(Exporter, LatencySumIsExportedExactlyNotReconstructed)
 
     // The histogram and the snapshot both carry the exact running sum.
     EXPECT_EQ(m.latency.sumUs(), expect_us);
-    const auto snap = m.snapshot(/*pool_workers=*/1, 0, 0);
+    const auto snap = m.snapshot(/*pool_workers=*/1, 0);
     EXPECT_EQ(snap.latency_sum_us, expect_us);
     EXPECT_EQ(snap.latency_count, 3u);
 

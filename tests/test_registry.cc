@@ -21,6 +21,7 @@
 #include "align/nw.hh"
 #include "align/verify.hh"
 #include "common/logging.hh"
+#include "engine/engine.hh"
 #include "kernel/registry.hh"
 #include "sequence/generator.hh"
 
@@ -208,22 +209,26 @@ TEST(Registry, ExplicitBandHonoursEnforceBound)
     }
 }
 
-TEST(Registry, MakeAlignerRunsThroughBatchAlign)
+TEST(Registry, MakeAlignerRunsThroughEngine)
 {
     seq::Generator gen(515);
     std::vector<seq::SequencePair> pairs;
     for (int i = 0; i < 64; ++i)
         pairs.push_back(gen.pair(120, 0.05));
 
-    const auto results =
-        align::batchAlign(pairs, makeAligner("gmx-full"), /*threads=*/4);
-    ASSERT_EQ(results.size(), pairs.size());
+    engine::EngineConfig cfg;
+    cfg.workers = 4;
+    engine::Engine eng(cfg);
+    std::vector<std::future<engine::Engine::AlignOutcome>> futures;
+    for (const auto &pair : pairs)
+        futures.push_back(eng.submit(pair, makeAligner("gmx-full")));
     for (size_t i = 0; i < pairs.size(); ++i) {
-        EXPECT_EQ(results[i].distance,
+        const auto res = futures[i].get();
+        ASSERT_TRUE(res.ok()) << res.status().toString();
+        EXPECT_EQ(res->distance,
                   align::nwDistance(pairs[i].pattern, pairs[i].text));
-        EXPECT_TRUE(align::verifyResult(pairs[i].pattern, pairs[i].text,
-                                        results[i])
-                        .ok);
+        EXPECT_TRUE(
+            align::verifyResult(pairs[i].pattern, pairs[i].text, *res).ok);
     }
 
     // Distance-only parameters flow through to the descriptor.
