@@ -45,8 +45,13 @@ Engine::Engine(EngineConfig config)
             ? config_.workers
             : std::max(1u, std::thread::hardware_concurrency());
     workers_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        workers_.emplace_back([this] { workerLoop(); });
+    try {
+        for (unsigned w = 0; w < workers; ++w)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        stop(); // no destructor runs: join the workers already started
+        throw;
+    }
 }
 
 Engine::~Engine()
