@@ -36,17 +36,19 @@ cmake --build build-obs -j"$(nproc)" --target test_observability test_trace
 ctest --test-dir build-obs --output-on-failure -j"$(nproc)" \
     -R 'Observability|TraceRecorder|Exporter|LatencyHistogram|BudgetEstimators|KernelCounts'
 
-echo "== Front-door pass (-Werror + TSan, serve + chaos storm) =="
-# The alignment server juggles an acceptor, a handler pool, and one
-# writer thread per connection over shared quota/router/cache state:
-# ThreadSanitizer must see the whole serve suite plus the fault-storm
-# leg clean, with warnings-as-errors so new serve code lands warning-
-# free.
+echo "== Front-door pass (-Werror + TSan, serve + scrape + chaos storm) =="
+# Both servers run on the one listener core in common/net (acceptor,
+# handler pool, connection cap, graceful stop); the alignment server adds
+# one writer thread per connection over shared quota/router/cache state.
+# ThreadSanitizer must see the serve suite, the scrape-server suite and
+# the fault-storm leg clean, with warnings-as-errors so new serve code
+# lands warning-free.
 cmake -B build-front -S . -DGMX_WERROR=ON -DGMX_SANITIZE=thread \
     -DGMX_FAULT_INJECTION=ON
-cmake --build build-front -j"$(nproc)" --target test_serve test_chaos
+cmake --build build-front -j"$(nproc)" \
+    --target test_serve test_server test_chaos
 ctest --test-dir build-front --output-on-failure -j"$(nproc)" \
-    -R 'ServeProtocol|AlignServer|AlignClient|QuotaRegistry|ShardRouter|Chaos'
+    -R 'ServeProtocol|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos'
 
 echo "== Resilience pass (TSan + -Werror: breaker/brownout/watchdog) =="
 # The circuit breaker, brownout EWMA, connection watchdog, and retry

@@ -2,21 +2,19 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "engine/faults.hh"
+
 namespace gmx::net {
 
-Status
-errnoStatus(const char *what)
-{
-    return Status::internal(std::string(what) + ": " +
-                            std::strerror(errno));
-}
 
 void
 setIoDeadlines(int fd, std::chrono::milliseconds timeout)
@@ -112,6 +110,20 @@ closeFd(int &fd)
     }
 }
 
+namespace {
+
+/** errno-carrying internal Status for a failed socket call. */
+Status
+errnoStatus(const char *what)
+{
+    return Status::internal(std::string(what) + ": " +
+                            std::strerror(errno));
+}
+
+/**
+ * Bind + listen a TCP socket on host:port, writing the chosen port
+ * (port 0 = ephemeral) to @p bound_port. On failure the fd is closed.
+ */
 Status
 listenTcp(const std::string &host, u16 port, int &fd, u16 &bound_port)
 {
@@ -144,6 +156,7 @@ listenTcp(const std::string &host, u16 port, int &fd, u16 &bound_port)
     return Status();
 }
 
+/** Bind + listen a unix socket, unlinking a stale file at @p path. */
 Status
 listenUnix(const std::string &path, int &fd)
 {
@@ -164,6 +177,8 @@ listenUnix(const std::string &path, int &fd)
     }
     return Status();
 }
+
+} // namespace
 
 int
 connectTcp(const std::string &host, u16 port,
@@ -208,28 +223,176 @@ connectUnix(const std::string &path, std::chrono::milliseconds io_timeout)
     return fd;
 }
 
-Status
-SelfPipe::open()
+Listener::Listener(ListenerOptions options, ListenerHooks hooks)
+    : options_(std::move(options)), hooks_(std::move(hooks))
 {
-    if (::pipe(fds) < 0)
-        return errnoStatus("pipe");
+    options_.handler_threads = std::max(1u, options_.handler_threads);
+    options_.max_connections = std::max(1u, options_.max_connections);
+}
+
+Listener::~Listener()
+{
+    stop();
+}
+
+Status
+Listener::start()
+{
+    if (running_.load(std::memory_order_acquire))
+        return Status::internal("listener already running");
+    stopping_.store(false, std::memory_order_release);
+
+    if (Status s = listenTcp(options_.host, options_.port, tcp_fd_,
+                             bound_port_);
+        !s.ok())
+        return s;
+
+    if (!options_.unix_path.empty()) {
+        if (Status s = listenUnix(options_.unix_path, unix_fd_); !s.ok()) {
+            closeFd(tcp_fd_);
+            return s;
+        }
+    }
+
+    if (::pipe(wake_) < 0) {
+        const Status s = errnoStatus("pipe");
+        closeFd(unix_fd_);
+        closeFd(tcp_fd_);
+        return s;
+    }
+
+    accept_done_ = false; // no thread of this listener runs yet
+    running_.store(true, std::memory_order_release);
+    handlers_.reserve(options_.handler_threads);
+    for (unsigned i = 0; i < options_.handler_threads; ++i)
+        handlers_.emplace_back([this] { handlerLoop(); });
+    acceptor_ = std::thread([this] { acceptLoop(); });
     return Status();
 }
 
 void
-SelfPipe::notify()
+Listener::stop()
 {
-    if (fds[1] >= 0) {
-        const char byte = 1;
-        (void)!::write(fds[1], &byte, 1);
+    // One stopper wins and performs the whole teardown; a second call
+    // after stop() has returned is a no-op (idempotent destructor path).
+    if (stopping_.exchange(true, std::memory_order_acq_rel))
+        return;
+    if (!running_.load(std::memory_order_acquire))
+        return;
+    const char byte = 1;
+    (void)!::write(wake_[1], &byte, 1);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (hooks_.drain)
+        hooks_.drain();
+    {
+        // Handlers exit only once the acceptor can queue nothing more.
+        std::lock_guard<std::mutex> lk(mu_);
+        accept_done_ = true;
+    }
+    conn_cv_.notify_all();
+    for (std::thread &t : handlers_)
+        t.join();
+    handlers_.clear();
+    closeFd(tcp_fd_);
+    closeFd(unix_fd_);
+    closeFd(wake_[0]);
+    closeFd(wake_[1]);
+    if (!options_.unix_path.empty())
+        (void)::unlink(options_.unix_path.c_str());
+    bound_port_ = 0;
+    running_.store(false, std::memory_order_release);
+}
+
+bool
+Listener::reserveSlot()
+{
+    // The QueueFull fault point forces a refusal so chaos tests can
+    // storm this path.
+    if (GMX_INJECT_FAULT(engine::faults::Point::QueueFull))
+        return false;
+    unsigned cur = active_.load(std::memory_order_relaxed);
+    while (cur < options_.max_connections) {
+        if (active_.compare_exchange_weak(cur, cur + 1,
+                                          std::memory_order_acq_rel))
+            return true;
+    }
+    return false;
+}
+
+void
+Listener::acceptLoop()
+{
+    for (;;) {
+        pollfd pfds[3];
+        nfds_t n = 0;
+        pfds[n++] = {wake_[0], POLLIN, 0};
+        pfds[n++] = {tcp_fd_, POLLIN, 0};
+        if (unix_fd_ >= 0)
+            pfds[n++] = {unix_fd_, POLLIN, 0};
+        const int rc = ::poll(pfds, n, -1);
+        if (rc < 0) {
+            if (errno == EINTR)
+                continue;
+            return;
+        }
+        if (pfds[0].revents != 0)
+            return; // stop() signalled through the self-pipe
+        for (nfds_t i = 1; i < n; ++i) {
+            if ((pfds[i].revents & POLLIN) == 0)
+                continue;
+            const int conn =
+                ::accept4(pfds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
+            if (conn < 0)
+                continue;
+            if (hooks_.admit && !hooks_.admit(conn)) {
+                ::close(conn);
+                continue;
+            }
+            setIoDeadlines(conn, options_.io_timeout);
+
+            // Connection cap: reserve a slot or refuse right here — the
+            // queue of accepted connections stays bounded by the cap,
+            // not by how fast clients arrive.
+            if (!reserveSlot()) {
+                hooks_.refuse(conn);
+                ::close(conn);
+                continue;
+            }
+            if (hooks_.queued)
+                hooks_.queued();
+            {
+                std::lock_guard<std::mutex> lk(mu_);
+                conn_queue_.push_back(conn);
+            }
+            conn_cv_.notify_one();
+        }
     }
 }
 
 void
-SelfPipe::close()
+Listener::handlerLoop()
 {
-    closeFd(fds[0]);
-    closeFd(fds[1]);
+    for (;;) {
+        int fd = -1;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            conn_cv_.wait(lk, [this] {
+                return !conn_queue_.empty() || accept_done_;
+            });
+            if (conn_queue_.empty())
+                return; // stopping, and every queued connection handled
+            fd = conn_queue_.front();
+            conn_queue_.pop_front();
+        }
+        if (hooks_.refuse_after_stop &&
+            stopping_.load(std::memory_order_acquire))
+            hooks_.refuse_after_stop(fd);
+        else
+            hooks_.serve(fd);
+        ::close(fd);
+        active_.fetch_sub(1, std::memory_order_acq_rel);
+    }
 }
 
 bool

@@ -40,7 +40,7 @@ enum class StatusCode : u8 {
     Overloaded,        //!< backpressure: queue full, request rejected or shed
     EngineStopped,     //!< submitted to an engine after stop()
     Internal,          //!< unexpected failure inside an aligner or the engine
-    Unavailable,       //!< every route to a backend is circuit-broken
+    Unavailable,       //!< every backend route is broken, or server stopping
 };
 
 /** Stable upper-snake name for a code ("DEADLINE_EXCEEDED", ...). */

@@ -5,7 +5,37 @@
 
 namespace gmx::engine {
 
+namespace openmetrics {
+
+std::string
+num(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.9g", v);
+    return buf;
+}
+
+void
+counter(std::ostream &os, const char *name, u64 value)
+{
+    os << "# TYPE " << name << " counter\n"
+       << name << "_total " << value << "\n";
+}
+
+void
+gauge(std::ostream &os, const char *name, double value)
+{
+    os << "# TYPE " << name << " gauge\n" << name << " " << num(value)
+       << "\n";
+}
+
+} // namespace openmetrics
+
 namespace {
+
+using openmetrics::counter;
+using openmetrics::gauge;
+using openmetrics::num;
 
 /**
  * Upper edge of log2-microsecond bucket b, in seconds. Thin wrapper over
@@ -16,29 +46,6 @@ double
 bucketUpperSeconds(size_t b)
 {
     return latencyBucketUpperUs(b) * 1e-6;
-}
-
-/** Shortest round-trippable decimal for a double ("0.001", "1.5e-05"). */
-std::string
-num(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-void
-counter(std::ostringstream &os, const char *name, u64 value)
-{
-    os << "# TYPE " << name << " counter\n"
-       << name << "_total " << value << "\n";
-}
-
-void
-gauge(std::ostringstream &os, const char *name, double value)
-{
-    os << "# TYPE " << name << " gauge\n" << name << " " << num(value)
-       << "\n";
 }
 
 /**

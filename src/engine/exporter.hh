@@ -17,6 +17,7 @@
 #ifndef GMX_ENGINE_EXPORTER_HH
 #define GMX_ENGINE_EXPORTER_HH
 
+#include <iosfwd>
 #include <string>
 
 #include "engine/metrics.hh"
@@ -30,6 +31,19 @@ namespace gmx::engine {
  * log2-microsecond buckets.
  */
 std::string renderOpenMetrics(const MetricsSnapshot &snap);
+
+/** Exposition primitives shared with serve/metrics, so the two
+ *  renderers format numbers and families identically. */
+namespace openmetrics {
+
+/** Shortest round-trippable decimal for a double ("0.001", "1.5e-05"). */
+std::string num(double v);
+/** `# TYPE <name> counter` + `<name>_total <value>`. */
+void counter(std::ostream &os, const char *name, u64 value);
+/** `# TYPE <name> gauge` + `<name> <num(value)>`. */
+void gauge(std::ostream &os, const char *name, double value);
+
+} // namespace openmetrics
 
 } // namespace gmx::engine
 

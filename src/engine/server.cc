@@ -1,10 +1,5 @@
 #include "engine/server.hh"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <sstream>
 
 #include "engine/engine.hh"
@@ -15,159 +10,18 @@
 namespace gmx::engine {
 
 MetricsServer::MetricsServer(const Engine &engine, ServerConfig config)
-    : engine_(engine), config_(std::move(config))
+    : engine_(engine), config_(std::move(config)),
+      listener_({config_.host, config_.port, config_.unix_path,
+                 config_.handler_threads, config_.max_connections,
+                 config_.io_timeout},
+                {.serve = [this](int fd) { handleConnection(fd); },
+                 .refuse =
+                     [this](int fd) {
+                         refused_.fetch_add(1, std::memory_order_relaxed);
+                         respond(fd, 503, "text/plain; charset=utf-8",
+                                 "connection limit reached\n");
+                     }})
 {
-    if (config_.handler_threads == 0)
-        config_.handler_threads = 1;
-    if (config_.max_connections == 0)
-        config_.max_connections = 1;
-}
-
-MetricsServer::~MetricsServer()
-{
-    stop();
-}
-
-Status
-MetricsServer::start()
-{
-    if (running_.load(std::memory_order_acquire))
-        return Status::internal("MetricsServer already running");
-    stopping_.store(false, std::memory_order_release);
-
-    if (Status s = net::listenTcp(config_.host, config_.port, tcp_fd_,
-                                  bound_port_);
-        !s.ok())
-        return s;
-
-    if (!config_.unix_path.empty()) {
-        if (Status s = net::listenUnix(config_.unix_path, unix_fd_);
-            !s.ok()) {
-            net::closeFd(tcp_fd_);
-            return s;
-        }
-    }
-
-    if (Status s = wake_.open(); !s.ok()) {
-        net::closeFd(unix_fd_);
-        net::closeFd(tcp_fd_);
-        return s;
-    }
-
-    running_.store(true, std::memory_order_release);
-    handlers_.reserve(config_.handler_threads);
-    for (unsigned i = 0; i < config_.handler_threads; ++i)
-        handlers_.emplace_back([this] { handlerLoop(); });
-    acceptor_ = std::thread([this] { acceptLoop(); });
-    return Status();
-}
-
-void
-MetricsServer::stop()
-{
-    // One stopper wins and performs the whole teardown; a second call
-    // after stop() has returned is a no-op (idempotent destructor path).
-    if (stopping_.exchange(true, std::memory_order_acq_rel))
-        return;
-    if (!running_.load(std::memory_order_acquire))
-        return;
-    wake_.notify();
-    conn_cv_.notify_all();
-    if (acceptor_.joinable())
-        acceptor_.join();
-    // Handlers drain every already-accepted connection, then exit.
-    conn_cv_.notify_all();
-    for (std::thread &t : handlers_)
-        if (t.joinable())
-            t.join();
-    handlers_.clear();
-    net::closeFd(tcp_fd_);
-    net::closeFd(unix_fd_);
-    wake_.close();
-    if (!config_.unix_path.empty())
-        (void)::unlink(config_.unix_path.c_str());
-    bound_port_ = 0;
-    running_.store(false, std::memory_order_release);
-}
-
-void
-MetricsServer::acceptLoop()
-{
-    for (;;) {
-        pollfd pfds[3];
-        nfds_t n = 0;
-        pfds[n++] = {wake_.readFd(), POLLIN, 0};
-        pfds[n++] = {tcp_fd_, POLLIN, 0};
-        if (unix_fd_ >= 0)
-            pfds[n++] = {unix_fd_, POLLIN, 0};
-        const int rc = ::poll(pfds, n, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (pfds[0].revents != 0)
-            return; // stop() signalled through the self-pipe
-        for (nfds_t i = 1; i < n; ++i) {
-            if ((pfds[i].revents & POLLIN) == 0)
-                continue;
-            const int conn =
-                ::accept4(pfds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-            if (conn < 0)
-                continue;
-            net::setIoDeadlines(conn, config_.io_timeout);
-
-            // Connection cap: reserve a slot or answer 503 right here —
-            // the queue of accepted connections stays bounded by the
-            // cap, not by how fast clients arrive. The QueueFull fault
-            // point forces this path so chaos tests can storm it.
-            bool over = GMX_INJECT_FAULT(faults::Point::QueueFull);
-            unsigned cur = active_.load(std::memory_order_relaxed);
-            while (!over) {
-                if (cur >= config_.max_connections) {
-                    over = true;
-                    break;
-                }
-                if (active_.compare_exchange_weak(
-                        cur, cur + 1, std::memory_order_acq_rel))
-                    break;
-            }
-            if (over) {
-                refused_.fetch_add(1, std::memory_order_relaxed);
-                respond(conn, 503, "text/plain; charset=utf-8",
-                        "connection limit reached\n");
-                ::close(conn);
-                continue;
-            }
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                conn_queue_.push_back(conn);
-            }
-            conn_cv_.notify_one();
-        }
-    }
-}
-
-void
-MetricsServer::handlerLoop()
-{
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            conn_cv_.wait(lk, [this] {
-                return !conn_queue_.empty() ||
-                       stopping_.load(std::memory_order_acquire);
-            });
-            if (conn_queue_.empty())
-                return; // stopping, and every accepted connection served
-            fd = conn_queue_.front();
-            conn_queue_.pop_front();
-        }
-        handleConnection(fd);
-        ::close(fd);
-        active_.fetch_sub(1, std::memory_order_acq_rel);
-    }
 }
 
 int

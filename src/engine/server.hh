@@ -17,10 +17,11 @@
  *   /trace?id=N   one request's span timeline (404 when not in the ring)
  *   /healthz      200 "ok" liveness probe
  *
- * Deliberately dependency-free and blocking: one accept-loop thread
- * multiplexes the TCP listener, the optional unix-domain listener, and a
- * self-pipe via poll(); accepted connections are handed to a small fixed
- * pool of handler threads over a mutex+cv queue. Robustness is the
+ * Deliberately dependency-free and blocking: the server runs on the
+ * shared net::Listener core (one acceptor thread polling the TCP
+ * listener, the optional unix-domain listener and a self-pipe; a small
+ * fixed pool of handler threads fed by a queue of accepted connections)
+ * and adds only HTTP routing and its 503 refusal. Robustness is the
  * point, not throughput — a scrape endpoint serves a handful of pollers:
  *
  *   - hard cap on concurrent connections (503 beyond it, never queued
@@ -30,9 +31,10 @@
  *   - request-line + header size cap (431),
  *   - one request per connection ("Connection: close"), no keep-alive
  *     state machine to get wrong,
- *   - graceful stop(): the self-pipe unblocks poll(), handlers drain the
- *     accepted-connection queue, and every thread is joined before
- *     stop() returns — no leaked fds or threads under ASan.
+ *   - graceful stop(): the self-pipe unblocks poll(), handlers still
+ *     answer every queued scrape (each bounded by io_timeout), and
+ *     every thread is joined before stop() returns — no leaked fds or
+ *     threads under ASan.
  *
  * Fault-injection integration (GMX_FAULT_INJECTION builds): QueueFull
  * forces the connection cap (503), TaskError fails a /metrics render
@@ -45,13 +47,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/net.hh"
 #include "common/status.hh"
@@ -114,7 +111,6 @@ class MetricsServer
 {
   public:
     explicit MetricsServer(const Engine &engine, ServerConfig config = {});
-    ~MetricsServer();
 
     MetricsServer(const MetricsServer &) = delete;
     MetricsServer &operator=(const MetricsServer &) = delete;
@@ -124,19 +120,19 @@ class MetricsServer
      * typed error (and holds no resources) when a socket call fails —
      * e.g. the port is taken or the unix path is not bindable.
      */
-    Status start();
+    Status start() { return listener_.start(); }
 
     /**
      * Graceful shutdown: unblock the accept loop via the self-pipe,
      * serve every already-accepted connection, join all threads, close
-     * all sockets. Idempotent; the destructor calls it.
+     * all sockets. Idempotent; destruction runs it too.
      */
-    void stop();
+    void stop() { listener_.stop(); }
 
-    bool running() const { return running_.load(std::memory_order_acquire); }
+    bool running() const { return listener_.running(); }
 
     /** Bound TCP port (resolves port 0); 0 before start(). */
-    u16 port() const { return bound_port_; }
+    u16 port() const { return listener_.port(); }
 
     /** Responses written (any status), and connections refused with 503. */
     u64 served() const { return served_.load(std::memory_order_relaxed); }
@@ -145,8 +141,6 @@ class MetricsServer
     const ServerConfig &config() const { return config_; }
 
   private:
-    void acceptLoop();
-    void handlerLoop();
     void handleConnection(int fd);
 
     /** Route a parsed request to a body + content type. */
@@ -158,23 +152,11 @@ class MetricsServer
     const Engine &engine_;
     ServerConfig config_;
 
-    int tcp_fd_ = -1;
-    int unix_fd_ = -1;
-    net::SelfPipe wake_; //!< stop() -> accept poll()
-    u16 bound_port_ = 0;
-
-    std::atomic<bool> running_{false};
-    std::atomic<bool> stopping_{false};
-    std::atomic<unsigned> active_{0}; //!< queued + in-flight connections
     std::atomic<u64> served_{0};
     std::atomic<u64> refused_{0};
 
-    std::mutex mu_;
-    std::condition_variable conn_cv_;
-    std::deque<int> conn_queue_; //!< accepted fds awaiting a handler
-
-    std::thread acceptor_;
-    std::vector<std::thread> handlers_;
+    /** Declared last, so destruction stops it before anything it uses. */
+    net::Listener listener_;
 };
 
 } // namespace gmx::engine

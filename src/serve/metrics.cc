@@ -4,9 +4,15 @@
 #include <cstdio>
 #include <sstream>
 
+#include "engine/exporter.hh"
+
 namespace gmx::serve {
 
 namespace {
+
+using engine::openmetrics::counter;
+using engine::openmetrics::gauge;
+using engine::openmetrics::num;
 
 /** Escape a client id for JSON / OpenMetrics label embedding. */
 std::string
@@ -37,28 +43,6 @@ escapeLabel(const std::string &s)
         }
     }
     return out;
-}
-
-std::string
-num(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-void
-counter(std::ostringstream &os, const char *name, u64 value)
-{
-    os << "# TYPE " << name << " counter\n"
-       << name << "_total " << value << "\n";
-}
-
-void
-gauge(std::ostringstream &os, const char *name, double value)
-{
-    os << "# TYPE " << name << " gauge\n" << name << " " << num(value)
-       << "\n";
 }
 
 } // namespace

@@ -54,7 +54,7 @@ struct ServeSnapshot
 {
     // Connection lifecycle.
     u64 connections_accepted = 0;
-    u64 connections_refused = 0; //!< over the connection cap
+    u64 connections_refused = 0; //!< over the cap, or queued at stop()
     u64 accept_failures = 0;     //!< vanished between accept and handshake
     u64 protocol_errors = 0;     //!< malformed/oversized/unexpected frames
 

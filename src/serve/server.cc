@@ -1,11 +1,8 @@
 #include "serve/server.hh"
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 
 #include "engine/faults.hh"
 
@@ -56,12 +53,39 @@ AlignServer::AlignServer(std::vector<engine::Engine *> engines,
                          AlignServerConfig config)
     : engines_(std::move(engines)), config_(std::move(config)),
       quota_(config_.quota),
-      router_(engines_, config_.router, &metrics_)
+      router_(engines_, config_.router, &metrics_),
+      listener_(
+          {config_.host, config_.port, config_.unix_path,
+           config_.handler_threads, config_.max_connections,
+           config_.io_timeout},
+          {.serve = [this](int fd) { handleConnection(fd); },
+           .refuse =
+               [this](int fd) {
+                   refuseConnection(fd, StatusCode::Overloaded,
+                                    "connection limit reached");
+               },
+           // AcceptFail: the client vanished between accept and
+           // handshake; count it and keep accepting.
+           .admit =
+               [this](int) {
+                   if (!GMX_INJECT_FAULT(engine::faults::Point::AcceptFail))
+                       return true;
+                   metrics_.accept_failures.fetch_add(
+                       1, std::memory_order_relaxed);
+                   return false;
+               },
+           .queued =
+               [this] {
+                   metrics_.connections_accepted.fetch_add(
+                       1, std::memory_order_relaxed);
+               },
+           .refuse_after_stop =
+               [this](int fd) {
+                   refuseConnection(fd, StatusCode::Unavailable,
+                                    "server is stopping");
+               },
+           .drain = [this] { drain(); }})
 {
-    if (config_.handler_threads == 0)
-        config_.handler_threads = 1;
-    if (config_.max_connections == 0)
-        config_.max_connections = 1;
     if (config_.max_inflight_per_conn == 0)
         config_.max_inflight_per_conn = 1;
     if (config_.max_frame_bytes < 64)
@@ -70,80 +94,36 @@ AlignServer::AlignServer(std::vector<engine::Engine *> engines,
         config_.brownout_alpha = 0.2;
 }
 
-AlignServer::~AlignServer()
-{
-    stop();
-}
-
 Status
 AlignServer::start()
 {
-    if (running_.load(std::memory_order_acquire))
-        return Status::internal("AlignServer already running");
-    stopping_.store(false, std::memory_order_release);
-
-    if (Status s = net::listenTcp(config_.host, config_.port, tcp_fd_,
-                                  bound_port_);
-        !s.ok())
+    if (Status s = listener_.start(); !s.ok())
         return s;
-
-    if (!config_.unix_path.empty()) {
-        if (Status s = net::listenUnix(config_.unix_path, unix_fd_);
-            !s.ok()) {
-            net::closeFd(tcp_fd_);
-            return s;
-        }
-    }
-
-    if (Status s = wake_.open(); !s.ok()) {
-        net::closeFd(unix_fd_);
-        net::closeFd(tcp_fd_);
-        return s;
-    }
-
-    running_.store(true, std::memory_order_release);
-    handlers_.reserve(config_.handler_threads);
-    for (unsigned i = 0; i < config_.handler_threads; ++i)
-        handlers_.emplace_back([this] { handlerLoop(); });
-    acceptor_ = std::thread([this] { acceptLoop(); });
     if (config_.watchdog_multiple > 0)
         watchdog_ = std::thread([this] { watchdogLoop(); });
     return Status();
 }
 
 void
-AlignServer::stop()
+AlignServer::drain()
 {
-    if (stopping_.exchange(true, std::memory_order_acq_rel))
-        return;
-    if (!running_.load(std::memory_order_acquire))
-        return;
-    wake_.notify();
-    if (acceptor_.joinable())
-        acceptor_.join();
     watchdog_cv_.notify_all();
     if (watchdog_.joinable())
         watchdog_.join();
     // Half-close every live connection: readers see EOF and stop taking
     // new requests; writers still flush every accepted request's
     // response through the intact write side (graceful drain).
-    {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (const auto &[fd, conn] : open_conns_)
-            (void)::shutdown(fd, SHUT_RD);
-    }
-    conn_cv_.notify_all();
-    for (std::thread &t : handlers_)
-        if (t.joinable())
-            t.join();
-    handlers_.clear();
-    net::closeFd(tcp_fd_);
-    net::closeFd(unix_fd_);
-    wake_.close();
-    if (!config_.unix_path.empty())
-        (void)::unlink(config_.unix_path.c_str());
-    bound_port_ = 0;
-    running_.store(false, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(conns_mu_);
+    for (const auto &[fd, conn] : open_conns_)
+        (void)::shutdown(fd, SHUT_RD);
+}
+
+void
+AlignServer::refuseConnection(int fd, StatusCode code, const char *why)
+{
+    metrics_.connections_refused.fetch_add(1, std::memory_order_relaxed);
+    const std::string err = encodeError({code, why});
+    (void)net::sendAll(fd, err.data(), err.size());
 }
 
 size_t
@@ -156,101 +136,6 @@ AlignServer::watermark(Priority p) const
     else if (p == Priority::Normal)
         mark = cap - cap / 4;
     return mark == 0 ? 1 : mark;
-}
-
-void
-AlignServer::acceptLoop()
-{
-    for (;;) {
-        pollfd pfds[3];
-        nfds_t n = 0;
-        pfds[n++] = {wake_.readFd(), POLLIN, 0};
-        pfds[n++] = {tcp_fd_, POLLIN, 0};
-        if (unix_fd_ >= 0)
-            pfds[n++] = {unix_fd_, POLLIN, 0};
-        const int rc = ::poll(pfds, n, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (pfds[0].revents != 0)
-            return; // stop() signalled through the self-pipe
-        for (nfds_t i = 1; i < n; ++i) {
-            if ((pfds[i].revents & POLLIN) == 0)
-                continue;
-            const int conn =
-                ::accept4(pfds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-            if (conn < 0)
-                continue;
-            // AcceptFail: the client vanished between accept and
-            // handshake; count it and keep accepting.
-            if (GMX_INJECT_FAULT(engine::faults::Point::AcceptFail)) {
-                metrics_.accept_failures.fetch_add(
-                    1, std::memory_order_relaxed);
-                ::close(conn);
-                continue;
-            }
-            net::setIoDeadlines(conn, config_.io_timeout);
-
-            bool over =
-                GMX_INJECT_FAULT(engine::faults::Point::QueueFull);
-            unsigned cur = active_.load(std::memory_order_relaxed);
-            while (!over) {
-                if (cur >= config_.max_connections) {
-                    over = true;
-                    break;
-                }
-                if (active_.compare_exchange_weak(
-                        cur, cur + 1, std::memory_order_acq_rel))
-                    break;
-            }
-            if (over) {
-                metrics_.connections_refused.fetch_add(
-                    1, std::memory_order_relaxed);
-                const std::string err = encodeError(
-                    {StatusCode::Overloaded, "connection limit reached"});
-                (void)net::sendAll(conn, err.data(), err.size());
-                ::close(conn);
-                continue;
-            }
-            metrics_.connections_accepted.fetch_add(
-                1, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                conn_queue_.push_back(conn);
-            }
-            conn_cv_.notify_one();
-        }
-    }
-}
-
-void
-AlignServer::handlerLoop()
-{
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            conn_cv_.wait(lk, [this] {
-                return !conn_queue_.empty() ||
-                       stopping_.load(std::memory_order_acquire);
-            });
-            if (conn_queue_.empty())
-                return; // stopping, and every accepted connection served
-            fd = conn_queue_.front();
-            conn_queue_.pop_front();
-        }
-        handleConnection(fd);
-        {
-            // Unregister before close so stop()'s SHUT_RD sweep can
-            // never touch a recycled fd number.
-            std::lock_guard<std::mutex> lk(conns_mu_);
-            open_conns_.erase(fd);
-        }
-        ::close(fd);
-        active_.fetch_sub(1, std::memory_order_acq_rel);
-    }
 }
 
 bool
@@ -552,10 +437,10 @@ AlignServer::readerLoop(Conn &conn)
         size_t got = 0;
         // One-byte probe first: a timeout here means an idle (not slow)
         // client with nothing consumed, so the stream stays in sync and
-        // the reader gets a periodic stopping_ check.
+        // the reader gets a periodic stopping() check.
         net::IoResult r = net::recvSome(conn.fd, hdr, 1, got);
         if (r == net::IoResult::Timeout) {
-            if (stopping_.load(std::memory_order_acquire))
+            if (listener_.stopping())
                 return;
             continue;
         }
@@ -628,24 +513,16 @@ AlignServer::readerLoop(Conn &conn)
     }
 }
 
-void
-AlignServer::handleConnection(int fd)
+bool
+AlignServer::handshake(Conn &conn)
 {
-    Conn conn;
-    conn.fd = fd;
-    conn.last_progress_us.store(steadyMicros(), std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        open_conns_.emplace(fd, &conn);
-    }
-
     // Synchronous handshake: the first frame must be a Hello, answered
     // with a HelloAck, before the writer exists — so direct sends here
     // cannot interleave with response frames.
     char hdr[kHeaderBytes];
-    if (net::recvExact(fd, hdr, kHeaderBytes) != net::IoResult::Ok) {
+    if (net::recvExact(conn.fd, hdr, kHeaderBytes) != net::IoResult::Ok) {
         metrics_.accept_failures.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
     }
     FrameHeader fh;
     Status hs = decodeHeader(hdr, kHeaderBytes, config_.max_frame_bytes, fh);
@@ -656,7 +533,7 @@ AlignServer::handleConnection(int fd)
     if (hs.ok()) {
         payload.resize(fh.payload_len);
         if (fh.payload_len > 0 &&
-            net::recvExact(fd, payload.data(), payload.size()) !=
+            net::recvExact(conn.fd, payload.data(), payload.size()) !=
                 net::IoResult::Ok)
             hs = Status::invalidInput("truncated hello frame");
     }
@@ -666,8 +543,8 @@ AlignServer::handleConnection(int fd)
         metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
         const std::string err =
             encodeError({hs.code(), capMessage(hs.message())});
-        (void)net::sendAll(fd, err.data(), err.size());
-        return;
+        (void)net::sendAll(conn.fd, err.data(), err.size());
+        return false;
     }
     metrics_.frames_in.fetch_add(1, std::memory_order_relaxed);
     metrics_.bytes_in.fetch_add(kHeaderBytes + payload.size(),
@@ -678,18 +555,48 @@ AlignServer::handleConnection(int fd)
     // Echo the intersection of offered and supported feature bits; the
     // client uses only echoed bits, so a v1 peer (offers 0) sees 0.
     conn.features = hello.features & kSupportedFeatures;
-    if (!sendFrame(conn, encodeHelloAck({kVersion, conn.features,
-                                         config_.max_frame_bytes})))
-        return;
+    return sendFrame(conn, encodeHelloAck({kVersion, conn.features,
+                                           config_.max_frame_bytes}));
+}
 
-    std::thread writer([this, &conn] { writerLoop(conn); });
-    readerLoop(conn);
+void
+AlignServer::handleConnection(int fd)
+{
+    Conn conn;
+    conn.fd = fd;
+    conn.last_progress_us.store(steadyMicros(), std::memory_order_relaxed);
+    bool stopping = false;
     {
-        std::lock_guard<std::mutex> lk(conn.mu);
-        conn.closing = true;
+        // The core refuses connections it picks up after stop() began;
+        // this re-check closes the window between that pick-up and the
+        // registration. drain()'s SHUT_RD sweep takes conns_mu_ after
+        // stop() set the flag, so every connection is either swept or
+        // refused here.
+        std::lock_guard<std::mutex> lk(conns_mu_);
+        stopping = listener_.stopping();
+        if (!stopping)
+            open_conns_.emplace(fd, &conn);
     }
-    conn.data_cv.notify_all();
-    writer.join();
+    if (stopping) {
+        refuseConnection(fd, StatusCode::Unavailable, "server is stopping");
+        return;
+    }
+
+    if (handshake(conn)) {
+        std::thread writer([this, &conn] { writerLoop(conn); });
+        readerLoop(conn);
+        {
+            std::lock_guard<std::mutex> lk(conn.mu);
+            conn.closing = true;
+        }
+        conn.data_cv.notify_all();
+        writer.join();
+    }
+
+    // Unregister before the core closes the fd, so the sweep and the
+    // watchdog can never touch a recycled fd number.
+    std::lock_guard<std::mutex> lk(conns_mu_);
+    open_conns_.erase(fd);
 }
 
 void
@@ -709,9 +616,9 @@ AlignServer::watchdogLoop()
     std::unique_lock<std::mutex> lk(watchdog_mu_);
     for (;;) {
         watchdog_cv_.wait_for(lk, tick, [this] {
-            return stopping_.load(std::memory_order_acquire);
+            return listener_.stopping();
         });
-        if (stopping_.load(std::memory_order_acquire))
+        if (listener_.stopping())
             return;
         const u64 now_us = steadyMicros();
         std::lock_guard<std::mutex> ck(conns_mu_);

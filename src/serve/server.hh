@@ -16,16 +16,17 @@
  *          -> engine submit                  (engine/engine)
  *          -> response writer                (in submission order)
  *
- * Threading mirrors MetricsServer's proven shape: one acceptor thread
- * multiplexes the TCP listener, the optional unix listener, and a
- * self-pipe via poll(); accepted connections go to a fixed handler
- * pool. A handler owns one connection for its lifetime: it reads and
- * validates frames (the reader), while a per-connection writer thread
- * drains a BOUNDED queue of outgoing responses. The bound is the
- * backpressure contract: when a client streams requests faster than
- * its responses drain, the reader blocks on the full queue, stops
- * reading, and the kernel's TCP window pushes back to the client — the
- * server never buffers unboundedly for a slow consumer.
+ * Threading: the server runs on the shared net::Listener core, as
+ * MetricsServer does — one acceptor thread polls the TCP listener, the
+ * optional unix listener and a self-pipe, and accepted connections queue
+ * for a fixed handler pool. A handler owns one connection for its
+ * lifetime: it reads and validates frames (the reader), while a
+ * per-connection writer thread drains a BOUNDED queue of outgoing
+ * responses. The bound is the backpressure contract: when a client
+ * streams requests faster than its responses drain, the reader blocks
+ * on the full queue, stops reading, and the kernel's TCP window pushes
+ * back to the client — the server never buffers unboundedly for a slow
+ * consumer.
  *
  * Overload semantics, in the order a request meets them:
  *   1. connection cap     -> Error frame (Overloaded), connection closed
@@ -56,13 +57,16 @@
  * Graceful shutdown: stop() half-closes (SHUT_RD) every open
  * connection, so readers stop accepting new requests immediately while
  * every already-accepted request still completes and its response is
- * written before the connection closes. No fd, thread, or pending
- * future outlives stop().
+ * written before the connection closes. A connection still queued for
+ * a handler when stop() begins is not served: it gets an Error frame
+ * (Unavailable) instead of a HelloAck, counted under
+ * connections_refused. No fd, thread, or pending future outlives
+ * stop().
  *
  * Fault injection (GMX_FAULT_INJECTION builds): AcceptFail drops a
  * connection between accept and handshake, FrameTooLarge trips the
  * frame-size check spuriously, SlowClient stalls the response writer;
- * QueueFull forces the connection cap, as in MetricsServer.
+ * QueueFull forces the connection cap in the shared listener core.
  */
 
 #ifndef GMX_SERVE_SERVER_HH
@@ -175,7 +179,6 @@ class AlignServer
   public:
     AlignServer(std::vector<engine::Engine *> engines,
                 AlignServerConfig config = {});
-    ~AlignServer();
 
     AlignServer(const AlignServer &) = delete;
     AlignServer &operator=(const AlignServer &) = delete;
@@ -184,12 +187,12 @@ class AlignServer
     Status start();
 
     /** Graceful shutdown; see the file comment. Idempotent. */
-    void stop();
+    void stop() { listener_.stop(); }
 
-    bool running() const { return running_.load(std::memory_order_acquire); }
+    bool running() const { return listener_.running(); }
 
     /** Bound TCP port (resolves port 0); 0 before start(). */
-    u16 port() const { return bound_port_; }
+    u16 port() const { return listener_.port(); }
 
     /** Point-in-time serve counters, with live shard stats merged in. */
     ServeSnapshot serveSnapshot() const
@@ -249,9 +252,13 @@ class AlignServer
         std::atomic<bool> watchdog_killed{false};
     };
 
-    void acceptLoop();
-    void handlerLoop();
+    /** Refuse a connection with a typed Error frame (connections_refused). */
+    void refuseConnection(int fd, StatusCode code, const char *why);
+    /** stop()'s drain hook: join the watchdog, SHUT_RD every connection. */
+    void drain();
     void handleConnection(int fd);
+    /** The Hello/HelloAck exchange; false when the connection must close. */
+    bool handshake(Conn &conn);
     void readerLoop(Conn &conn);
     void writerLoop(Conn &conn);
     void watchdogLoop();
@@ -285,29 +292,16 @@ class AlignServer
     QuotaRegistry quota_;
     ShardRouter router_;
 
-    int tcp_fd_ = -1;
-    int unix_fd_ = -1;
-    net::SelfPipe wake_;
-    u16 bound_port_ = 0;
-
-    std::atomic<bool> running_{false};
-    std::atomic<bool> stopping_{false};
-    std::atomic<unsigned> active_{0};
-
-    std::mutex mu_;
-    std::condition_variable conn_cv_;
-    std::deque<int> conn_queue_; //!< accepted fds awaiting a handler
-
     std::mutex conns_mu_;
     /** Live connections: stop()'s SHUT_RD sweep + the watchdog scan. */
     std::map<int, Conn *> open_conns_;
 
     std::mutex watchdog_mu_;
     std::condition_variable watchdog_cv_;
-
-    std::thread acceptor_;
     std::thread watchdog_;
-    std::vector<std::thread> handlers_;
+
+    /** Declared last, so destruction stops it before anything it uses. */
+    net::Listener listener_;
 };
 
 } // namespace gmx::serve

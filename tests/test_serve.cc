@@ -4,8 +4,10 @@
  * unix-socket batch correctness against nwAlign, the dedup cache
  * (hits, coalescing, fewer engine submissions than wire requests),
  * per-client quotas, priority shed ordering under a deterministically
- * blocked engine, graceful shutdown with a batch in flight, and
- * protocol-error handling. Runs under TSan in scripts/tier1.sh.
+ * blocked engine, graceful shutdown with a batch in flight, the
+ * listener lifecycle (restart, port clash, refusing a connection still
+ * queued at stop()), and protocol-error handling. Runs under TSan in
+ * scripts/tier1.sh.
  */
 
 #include <gtest/gtest.h>
@@ -830,6 +832,89 @@ TEST(AlignServer, GracefulStopDrainsInFlightBatch)
     EXPECT_EQ(answered, kBatch);
     EXPECT_FALSE(h.server->running());
     EXPECT_EQ(h.server->serveSnapshot().pending, 0u);
+}
+
+TEST(AlignServer, QueuedConnectionIsRefusedAfterStop)
+{
+    AlignServerConfig scfg;
+    scfg.handler_threads = 1;
+    scfg.io_timeout = std::chrono::milliseconds(1000);
+    Harness h(scfg);
+
+    // The first client holds the only handler.
+    AlignClient holder(h.clientConfig("holder"));
+    ASSERT_TRUE(holder.connect().ok());
+
+    // The second is accepted but waits in the queue, its Hello unanswered.
+    AlignClient queued(h.clientConfig("queued"));
+    auto queued_connect =
+        std::async(std::launch::async, [&] { return queued.connect(); });
+    ASSERT_TRUE(eventually([&] {
+        return h.server->metrics().connections_accepted.load(
+                   std::memory_order_relaxed) == 2;
+    }));
+
+    // stop() half-closes the holder, which frees the handler; the
+    // handler then picks the queued connection up after stop() began
+    // and must refuse it rather than handshake it.
+    std::thread stopper([&] { h.server->stop(); });
+    const Status s = queued_connect.get();
+    stopper.join();
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::Unavailable) << s.toString();
+    EXPECT_FALSE(queued.connected());
+    EXPECT_EQ(h.server->serveSnapshot().connections_refused, 1u);
+}
+
+TEST(AlignServer, RestartAfterStopServesAgain)
+{
+    Harness h;
+    seq::Generator gen(43);
+    const seq::SequencePair before = gen.pair(100, 0.05);
+    {
+        AlignClient client(h.clientConfig("before"));
+        ASSERT_TRUE(client.connect().ok());
+        const auto r = client.alignBatch({before}, false);
+        ASSERT_TRUE(r[0].ok()) << r[0].status().toString();
+        EXPECT_EQ(r[0]->distance,
+                  align::nwAlign(before.pattern, before.text).distance);
+        EXPECT_TRUE(client.bye().ok());
+    }
+    h.server->stop();
+    EXPECT_FALSE(h.server->running());
+    EXPECT_EQ(h.server->port(), 0);
+
+    // The same server object binds again and serves as before.
+    ASSERT_TRUE(h.server->start().ok());
+    EXPECT_TRUE(h.server->running());
+    AlignClient client(h.clientConfig("after"));
+    ASSERT_TRUE(client.connect().ok());
+    const seq::SequencePair after = gen.pair(100, 0.05);
+    const auto r = client.alignBatch({after}, false);
+    ASSERT_TRUE(r[0].ok()) << r[0].status().toString();
+    EXPECT_EQ(r[0]->distance,
+              align::nwAlign(after.pattern, after.text).distance);
+    EXPECT_TRUE(client.bye().ok());
+    h.server->stop();
+    EXPECT_EQ(h.server->serveSnapshot().requests, 2u);
+}
+
+TEST(AlignServer, StartFailsCleanlyWhenPortIsTaken)
+{
+    Harness h;
+    AlignServerConfig scfg;
+    scfg.port = h.server->port(); // already bound by the harness server
+    std::vector<engine::Engine *> raw{h.engines[0].get()};
+    AlignServer clash(raw, scfg);
+    const Status s = clash.start();
+    EXPECT_FALSE(s.ok());
+    EXPECT_FALSE(clash.running());
+    EXPECT_EQ(clash.port(), 0);
+
+    // The failed server holds nothing; the harness server still serves.
+    AlignClient client(h.clientConfig());
+    ASSERT_TRUE(client.connect().ok());
+    EXPECT_TRUE(client.bye().ok());
 }
 
 TEST(AlignServer, SnapshotRendersJsonAndOpenMetrics)
