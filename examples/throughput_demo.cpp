@@ -122,8 +122,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(snap.tier_hits[1]),
                 static_cast<unsigned long long>(snap.tier_hits[2]));
     std::printf("latency: mean %.1fus p50<=%.0fus p99<=%.0fus\n",
-                snap.latency_mean_us, snap.latency_p50_us,
-                snap.latency_p99_us);
+                snap.latency.mean_us, snap.latency.p50_us,
+                snap.latency.p99_us);
 
     // Per-tier work and the split latency story: how long requests sat in
     // the queue vs how long the kernels ran, and what the kernels did.

@@ -30,7 +30,8 @@ echo "== Observability pass (-Werror build, trace/exporter under TSan) =="
 # lock-free trace ring must stay race-clean: build the observability
 # tests with warnings-as-errors AND ThreadSanitizer, then run them.
 # test_trace hosts the TraceRecorder multi-writer wrap stress, so it
-# rides in this leg too.
+# rides in this leg too; Exporter pins the engine renders (golden
+# exposition).
 cmake -B build-obs -S . -DGMX_WERROR=ON -DGMX_SANITIZE=thread
 cmake --build build-obs -j"$(nproc)" --target test_observability test_trace
 ctest --test-dir build-obs --output-on-failure -j"$(nproc)" \
@@ -42,13 +43,14 @@ echo "== Front-door pass (-Werror + TSan, serve + scrape + chaos storm) =="
 # one writer thread per connection over shared quota/router/cache state.
 # ThreadSanitizer must see the serve suite, the scrape-server suite and
 # the fault-storm leg clean, with warnings-as-errors so new serve code
-# lands warning-free.
+# lands warning-free. ServeMetrics pins the serve renders (golden
+# exposition, client-id escaping) in the same warnings-as-errors tree.
 cmake -B build-front -S . -DGMX_WERROR=ON -DGMX_SANITIZE=thread \
     -DGMX_FAULT_INJECTION=ON
 cmake --build build-front -j"$(nproc)" \
     --target test_serve test_server test_chaos
 ctest --test-dir build-front --output-on-failure -j"$(nproc)" \
-    -R 'ServeProtocol|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos'
+    -R 'ServeProtocol|ServeMetrics|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos'
 
 echo "== Resilience pass (TSan + -Werror: breaker/brownout/watchdog) =="
 # The circuit breaker, brownout EWMA, connection watchdog, and retry

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/atomic.hh"
+
 namespace gmx::engine {
 
 namespace {
@@ -80,12 +82,7 @@ MemoryBudget::tryReserve(size_t bytes)
     } while (!reserved_.compare_exchange_weak(cur, cur + bytes,
                                               std::memory_order_acq_rel,
                                               std::memory_order_relaxed));
-    // Monotonic peak (racy CAS max; relaxed is fine for a statistic).
-    size_t peak = peak_.load(std::memory_order_relaxed);
-    while (cur + bytes > peak &&
-           !peak_.compare_exchange_weak(peak, cur + bytes,
-                                        std::memory_order_relaxed)) {
-    }
+    atomicMax(peak_, cur + bytes);
     return true;
 }
 

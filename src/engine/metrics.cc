@@ -1,7 +1,8 @@
 #include "engine/metrics.hh"
 
 #include <cmath>
-#include <sstream>
+
+#include "engine/exporter.hh"
 
 namespace gmx::engine {
 
@@ -55,22 +56,6 @@ LatencyHistogram::buckets() const
     return out;
 }
 
-void
-EngineMetrics::noteMax(std::atomic<u64> &slot, u64 value)
-{
-    u64 cur = slot.load(std::memory_order_relaxed);
-    while (value > cur &&
-           !slot.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-void
-EngineMetrics::notePeak(u64 depth)
-{
-    noteMax(queue_peak, depth);
-}
-
 namespace {
 
 /** Approximate quantile from the log2 histogram (bucket upper bound). */
@@ -104,6 +89,202 @@ summarize(const LatencyHistogram &h)
     return s;
 }
 
+// ------------------------------------------------------- field tables
+//
+// Every engine metric is one row below. The table order is the /vars key
+// order and the /metrics family order.
+
+using M = EngineMetrics;
+using S = MetricsSnapshot;
+using TS = MetricsSnapshot::TierStats;
+constexpr auto kCounter = openmetrics::Type::Counter;
+constexpr auto kGauge = openmetrics::Type::Gauge;
+
+std::string
+laneCount(unsigned i)
+{
+    return std::to_string(i + 1);
+}
+
+/** Filter groups by filled lanes: /vars array, /metrics `lanes` label. */
+constexpr SlotLabel kLanes{"lanes", &laneCount, false};
+
+/** The snapshot() arguments, for the rows the engine passes in. */
+enum Arg : int { kWorkers, kExecuted, kBudget, kReserved, kReservedPeak };
+
+constexpr Field<M, S, std::tuple_size_v<decltype(S::filter_batch_lanes)>>
+    kFields[] = {
+        {nullptr, "submitted", "gmx_requests_submitted", kCounter,
+         &S::submitted, &M::submitted},
+        {nullptr, "completed", "gmx_requests_completed", kCounter,
+         &S::completed, &M::completed},
+        {nullptr, "failed", "gmx_requests_failed", kCounter, &S::failed,
+         &M::failed},
+        {nullptr, "rejected", "gmx_requests_rejected", kCounter,
+         &S::rejected, &M::rejected},
+        {nullptr, "shed", "gmx_requests_shed", kCounter, &S::shed, &M::shed},
+        {nullptr, "invalid", "gmx_requests_invalid", kCounter, &S::invalid,
+         &M::invalid},
+        {nullptr, "queue_depth", "gmx_queue_depth", kGauge, &S::queue_depth,
+         &M::queue_depth},
+        {nullptr, "queue_peak", "gmx_queue_peak", kGauge, &S::queue_peak,
+         &M::queue_peak},
+        {nullptr, "microbatches", "gmx_microbatches", kCounter,
+         &S::microbatches, &M::microbatches},
+        {nullptr, "batched_pairs", "gmx_batched_pairs", kCounter,
+         &S::batched_pairs, &M::batched_pairs},
+        {nullptr, "filter_batches", "gmx_filter_batches", kCounter,
+         &S::filter_batches, &M::filter_batches},
+        {nullptr, "filter_batched_pairs", "gmx_filter_batched_pairs",
+         kCounter, &S::filter_batched_pairs, &M::filter_batched_pairs},
+        {.group = nullptr,
+         .key = "filter_batch_lanes",
+         .family = "gmx_filter_batch_groups",
+         .type = kCounter,
+         .label = &kLanes,
+         .slots = &S::filter_batch_lanes,
+         .live_slots = &M::filter_batch_lanes},
+        {nullptr, "deadline_missed", "gmx_requests_deadline_missed",
+         kCounter, &S::deadline_missed, &M::deadline_missed},
+        {nullptr, "cancelled", "gmx_requests_cancelled", kCounter,
+         &S::cancelled, &M::cancelled},
+        {nullptr, "downgraded", "gmx_requests_downgraded", kCounter,
+         &S::downgraded, &M::downgraded},
+        {nullptr, "resource_rejected", "gmx_requests_resource_rejected",
+         kCounter, &S::resource_rejected, &M::resource_rejected},
+        {"memory", "budget", "gmx_memory_budget_bytes", kGauge,
+         &S::mem_budget_bytes, nullptr, kBudget},
+        {"memory", "reserved", "gmx_memory_reserved_bytes", kGauge,
+         &S::mem_reserved_bytes, nullptr, kReserved},
+        {"memory", "reserved_peak", "gmx_memory_reserved_peak_bytes", kGauge,
+         &S::mem_reserved_peak, nullptr, kReservedPeak},
+        {"memory", "arena_peak", "gmx_arena_peak_bytes", kGauge,
+         &S::arena_peak_bytes, &M::arena_peak_bytes},
+        {"pool", "workers", "gmx_pool_workers", kGauge, &S::pool_workers,
+         nullptr, kWorkers},
+        {"pool", "executed", "gmx_pool_tasks_executed", kCounter,
+         &S::pool_executed, nullptr, kExecuted},
+};
+
+/**
+ * One per-tier family: a key of each tier's /vars object, a `tier`-
+ * labelled /metrics family (null: /vars only). The value is tiers[t].*
+ * @p stat or (*@p flat)[t]; a row without @p live is derived from the
+ * rows before it.
+ */
+template <class T>
+struct TierField
+{
+    const char *key;
+    const char *family;
+    openmetrics::Type type;
+    std::array<std::atomic<T>, kTierCount> M::*live;
+    T TS::*stat = nullptr;
+    std::array<T, kTierCount> S::*flat = nullptr;
+    double scale = 1.0; //!< /metrics value = value * scale (us -> s)
+    T (*derive)(const TS &) = nullptr;
+
+    decltype(auto)
+    at(auto &s, unsigned t) const
+    {
+        return flat ? (s.*flat)[t] : s.tiers[t].*stat;
+    }
+};
+
+/** 1e9 cells/s over the kernel phase only, so setup cannot dilute it. */
+double
+gcups(const TS &ts)
+{
+    return ts.kernel_us > 0.0
+               ? static_cast<double>(ts.cells) / ts.kernel_us / 1e3
+               : 0.0;
+}
+
+constexpr TierField<u64> kTierCounts[] = {
+    {"hits", "gmx_tier_completed", kCounter, &M::tier_hits, nullptr,
+     &S::tier_hits},
+    {"peak_bytes", "gmx_tier_peak_bytes", kGauge, &M::tier_peak_bytes,
+     nullptr, &S::tier_peak_bytes},
+    {"attempts", "gmx_tier_attempts", kCounter, &M::tier_attempts,
+     &TS::attempts},
+    {"cells", "gmx_tier_cells", kCounter, &M::tier_cells, &TS::cells},
+};
+
+// Kernel work split by phase: setup is mask/grid building and scratch
+// carving, kernel is the DP loop plus traceback.
+constexpr TierField<double> kTierTimes[] = {
+    {"work_us", nullptr, kCounter, &M::tier_work_us, &TS::work_us},
+    {"setup_us", "gmx_tier_setup_seconds", kCounter, &M::tier_setup_us,
+     &TS::setup_us, nullptr, 1e-6},
+    {"kernel_us", "gmx_tier_kernel_seconds", kCounter, &M::tier_kernel_us,
+     &TS::kernel_us, nullptr, 1e-6},
+    {"gcups", "gmx_tier_gcups", kGauge, nullptr, &TS::gcups, nullptr, 1.0,
+     &gcups},
+};
+
+/** Visit every per-tier scalar row, in table order. */
+void
+eachTierField(auto fn)
+{
+    for (const auto &f : kTierCounts)
+        fn(f);
+    for (const auto &f : kTierTimes)
+        fn(f);
+}
+
+/**
+ * A latency histogram: per tier (@p tier_live into tiers[t].*@p stat,
+ * inside each tier's /vars object) or one (@p live into @p snap, with
+ * its log2 buckets listed on /vars).
+ */
+struct HistogramField
+{
+    const char *key;
+    const char *family;
+    std::array<LatencyHistogram, kTierCount> M::*tier_live;
+    LatencySummary TS::*stat;
+    LatencyHistogram M::*live = nullptr;
+    LatencySummary S::*snap = nullptr;
+};
+
+constexpr HistogramField kTierHistograms[] = {
+    {"queue_wait_us", "gmx_queue_wait_seconds", &M::queue_wait,
+     &TS::queue_wait},
+    {"service_us", "gmx_service_time_seconds", &M::service, &TS::service},
+};
+
+constexpr HistogramField kHistograms[] = {
+    {"latency_us", "gmx_request_latency_seconds", nullptr, nullptr,
+     &M::latency, &S::latency},
+};
+
+void
+writeSummary(JsonWriter &w, const LatencySummary &s, bool buckets)
+{
+    w.beginObject();
+    w.key("count").value(s.count);
+    w.key("sum").value(s.sum_us);
+    w.key("mean").value(s.mean_us);
+    w.key("p50").value(s.p50_us);
+    w.key("p99").value(s.p99_us);
+    if (buckets) {
+        size_t last = s.buckets.size();
+        while (last > 0 && s.buckets[last - 1] == 0)
+            --last;
+        w.key("log2_buckets").beginArray();
+        for (size_t b = 0; b < last; ++b)
+            w.value(s.buckets[b]);
+        w.endArray();
+    }
+    w.endObject();
+}
+
+const char *
+tierLabel(unsigned t)
+{
+    return tierName(static_cast<Tier>(t));
+}
+
 } // namespace
 
 MetricsSnapshot
@@ -112,149 +293,77 @@ EngineMetrics::snapshot(u64 pool_workers, u64 pool_executed,
                         u64 mem_reserved_peak) const
 {
     MetricsSnapshot s;
-    s.submitted = submitted.load(std::memory_order_relaxed);
-    s.completed = completed.load(std::memory_order_relaxed);
-    s.failed = failed.load(std::memory_order_relaxed);
-    s.rejected = rejected.load(std::memory_order_relaxed);
-    s.shed = shed.load(std::memory_order_relaxed);
-    s.invalid = invalid.load(std::memory_order_relaxed);
-    s.queue_depth = queue_depth.load(std::memory_order_relaxed);
-    s.queue_peak = queue_peak.load(std::memory_order_relaxed);
-    s.microbatches = microbatches.load(std::memory_order_relaxed);
-    s.batched_pairs = batched_pairs.load(std::memory_order_relaxed);
-    s.filter_batches = filter_batches.load(std::memory_order_relaxed);
-    s.filter_batched_pairs =
-        filter_batched_pairs.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < s.filter_batch_lanes.size(); ++l)
-        s.filter_batch_lanes[l] =
-            filter_batch_lanes[l].load(std::memory_order_relaxed);
-    s.deadline_missed = deadline_missed.load(std::memory_order_relaxed);
-    s.cancelled = cancelled.load(std::memory_order_relaxed);
-    s.downgraded = downgraded.load(std::memory_order_relaxed);
-    s.resource_rejected = resource_rejected.load(std::memory_order_relaxed);
-    s.mem_budget_bytes = mem_budget_bytes;
-    s.mem_reserved_bytes = mem_reserved_bytes;
-    s.mem_reserved_peak = mem_reserved_peak;
-    s.arena_peak_bytes = arena_peak_bytes.load(std::memory_order_relaxed);
-    s.pool_workers = pool_workers;
-    s.pool_executed = pool_executed;
+    const u64 args[] = {pool_workers, pool_executed, mem_budget_bytes,
+                        mem_reserved_bytes, mem_reserved_peak};
+    copyFields(kFields, *this, s, args);
     for (unsigned t = 0; t < kTierCount; ++t) {
-        s.tier_hits[t] = tier_hits[t].load(std::memory_order_relaxed);
-        s.tier_peak_bytes[t] =
-            tier_peak_bytes[t].load(std::memory_order_relaxed);
-        MetricsSnapshot::TierStats &ts = s.tiers[t];
-        ts.attempts = tier_attempts[t].load(std::memory_order_relaxed);
-        ts.cells = tier_cells[t].load(std::memory_order_relaxed);
-        ts.work_us = tier_work_us[t].load(std::memory_order_relaxed);
-        ts.setup_us = tier_setup_us[t].load(std::memory_order_relaxed);
-        ts.kernel_us = tier_kernel_us[t].load(std::memory_order_relaxed);
-        // GCUPS = 1e9 cells/s; cells per microsecond is 1e6 cells/s.
-        // Pure-kernel time only: setup (mask/grid building, scratch
-        // carving) is reported separately instead of diluting this.
-        ts.gcups = ts.kernel_us > 0.0
-                       ? static_cast<double>(ts.cells) / ts.kernel_us / 1e3
-                       : 0.0;
-        ts.queue_wait = summarize(queue_wait[t]);
-        ts.service = summarize(service[t]);
+        eachTierField([&](const auto &f) {
+            f.at(s, t) = f.live
+                             ? (this->*f.live)[t].load(
+                                   std::memory_order_relaxed)
+                             : f.derive(s.tiers[t]);
+        });
+        for (const auto &h : kTierHistograms)
+            s.tiers[t].*h.stat = summarize((this->*h.tier_live)[t]);
     }
-    const LatencySummary total = summarize(latency);
-    s.latency_buckets = total.buckets;
-    s.latency_count = total.count;
-    s.latency_sum_us = total.sum_us;
-    s.latency_mean_us = total.mean_us;
-    s.latency_p50_us = total.p50_us;
-    s.latency_p99_us = total.p99_us;
+    for (const auto &h : kHistograms)
+        s.*h.snap = summarize(this->*h.live);
     return s;
 }
-
-namespace {
-
-/** Emit {"count":..,"sum":..,"mean":..,"p50":..,"p99":..} for a summary. */
-void
-jsonSummary(std::ostringstream &os, const LatencySummary &s)
-{
-    os << "{\"count\":" << s.count << ",\"sum\":" << s.sum_us
-       << ",\"mean\":" << s.mean_us << ",\"p50\":" << s.p50_us
-       << ",\"p99\":" << s.p99_us << "}";
-}
-
-} // namespace
 
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::ostringstream os;
-    os << "{";
-    os << "\"submitted\":" << submitted;
-    os << ",\"completed\":" << completed;
-    os << ",\"failed\":" << failed;
-    os << ",\"rejected\":" << rejected;
-    os << ",\"shed\":" << shed;
-    os << ",\"invalid\":" << invalid;
-    os << ",\"queue_depth\":" << queue_depth;
-    os << ",\"queue_peak\":" << queue_peak;
-    os << ",\"microbatches\":" << microbatches;
-    os << ",\"batched_pairs\":" << batched_pairs;
-    os << ",\"filter_batches\":" << filter_batches;
-    os << ",\"filter_batched_pairs\":" << filter_batched_pairs;
-    os << ",\"filter_batch_lanes\":[";
-    for (size_t l = 0; l < filter_batch_lanes.size(); ++l)
-        os << (l ? "," : "") << filter_batch_lanes[l];
-    os << "]";
-    os << ",\"deadline_missed\":" << deadline_missed;
-    os << ",\"cancelled\":" << cancelled;
-    os << ",\"downgraded\":" << downgraded;
-    os << ",\"resource_rejected\":" << resource_rejected;
-    os << ",\"memory\":{";
-    os << "\"budget\":" << mem_budget_bytes;
-    os << ",\"reserved\":" << mem_reserved_bytes;
-    os << ",\"reserved_peak\":" << mem_reserved_peak;
-    os << ",\"arena_peak\":" << arena_peak_bytes;
-    os << "}";
-    os << ",\"pool\":{";
-    os << "\"workers\":" << pool_workers;
-    os << ",\"executed\":" << pool_executed;
-    os << "}";
-    os << ",\"tiers\":{";
+    JsonWriter w;
+    w.beginObject();
+    writeFields(w, kFields, *this);
+    w.key("tiers").beginObject();
     for (unsigned t = 0; t < kTierCount; ++t) {
-        if (t)
-            os << ",";
-        const TierStats &ts = tiers[t];
-        os << "\"" << tierName(static_cast<Tier>(t)) << "\":{"
-           << "\"hits\":" << tier_hits[t]
-           << ",\"peak_bytes\":" << tier_peak_bytes[t]
-           << ",\"attempts\":" << ts.attempts
-           << ",\"cells\":" << ts.cells
-           << ",\"work_us\":" << ts.work_us
-           << ",\"setup_us\":" << ts.setup_us
-           << ",\"kernel_us\":" << ts.kernel_us
-           << ",\"gcups\":" << ts.gcups
-           << ",\"queue_wait_us\":";
-        jsonSummary(os, ts.queue_wait);
-        os << ",\"service_us\":";
-        jsonSummary(os, ts.service);
-        os << "}";
+        w.key(tierLabel(t)).beginObject();
+        eachTierField(
+            [&](const auto &f) { w.key(f.key).value(f.at(*this, t)); });
+        for (const auto &h : kTierHistograms) {
+            w.key(h.key);
+            writeSummary(w, tiers[t].*h.stat, false);
+        }
+        w.endObject();
     }
-    os << "}";
-    os << ",\"latency_us\":{";
-    os << "\"count\":" << latency_count;
-    os << ",\"sum\":" << latency_sum_us;
-    os << ",\"mean\":" << latency_mean_us;
-    os << ",\"p50\":" << latency_p50_us;
-    os << ",\"p99\":" << latency_p99_us;
-    os << ",\"log2_buckets\":[";
-    // Trim trailing empty buckets so the array stays readable.
-    size_t last = latency_buckets.size();
-    while (last > 0 && latency_buckets[last - 1] == 0)
-        --last;
-    for (size_t b = 0; b < last; ++b) {
-        if (b)
-            os << ",";
-        os << latency_buckets[b];
+    w.endObject();
+    for (const auto &h : kHistograms) {
+        w.key(h.key);
+        writeSummary(w, this->*h.snap, true);
     }
-    os << "]}";
-    os << "}";
-    return os.str();
+    w.endObject();
+    return w.str();
+}
+
+std::string
+renderOpenMetrics(const MetricsSnapshot &snap)
+{
+    openmetrics::Writer w;
+    writeFields(w, kFields, snap);
+    eachTierField([&](const auto &f) {
+        if (!f.family)
+            return;
+        w.family(f.family, f.type);
+        for (unsigned t = 0; t < kTierCount; ++t) {
+            const auto v = f.at(snap, t);
+            if constexpr (std::is_floating_point_v<decltype(v)>)
+                w.sample(v * f.scale, "tier", tierLabel(t));
+            else
+                w.sample(v, "tier", tierLabel(t));
+        }
+    });
+    for (const auto &h : kTierHistograms) {
+        w.family(h.family, openmetrics::Type::Histogram);
+        for (unsigned t = 0; t < kTierCount; ++t)
+            w.histogram(snap.tiers[t].*h.stat, "tier", tierLabel(t));
+    }
+    for (const auto &h : kHistograms) {
+        w.family(h.family, openmetrics::Type::Histogram);
+        w.histogram(snap.*h.snap);
+    }
+    return w.str() + "# EOF\n";
 }
 
 } // namespace gmx::engine

@@ -5,8 +5,16 @@
  * The engine is a concurrent pipeline, so every counter here is a plain
  * relaxed atomic: producers and workers bump them wait-free and a snapshot
  * reads them without stopping the pipeline. A snapshot is a plain value
- * struct that can be diffed, printed, or serialized to JSON — the shape a
- * monitoring scraper would consume in a service deployment.
+ * struct that can be diffed, printed, or rendered to JSON (/vars) and
+ * OpenMetrics (/metrics).
+ *
+ * A plain counter is declared once, in EngineCounters, which both the
+ * live EngineMetrics and the MetricsSnapshot instantiate. Each metric's
+ * /vars key, OpenMetrics family and type are held once, in the field
+ * tables of metrics.cc: scalars (with the per-lane-count filter groups),
+ * per-tier families, and latency histograms. snapshot(), toJson() and
+ * renderOpenMetrics() walk those tables through the writers of
+ * engine/exporter.hh.
  */
 
 #ifndef GMX_ENGINE_METRICS_HH
@@ -18,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic.hh"
 #include "common/types.hh"
 
 namespace gmx::engine {
@@ -93,26 +102,31 @@ struct LatencySummary
 {
     std::vector<u64> buckets; //!< log2-microsecond histogram
     u64 count = 0;
-    double sum_us = 0.0;
+    double sum_us = 0.0; //!< true running sum, not mean * count
     double mean_us = 0.0;
     double p50_us = 0.0; //!< bucket-upper-bound approximation
     double p99_us = 0.0;
 };
 
-/** Point-in-time copy of every engine counter. Plain values, no atomics. */
-struct MetricsSnapshot
+/**
+ * The engine's plain counters, declared once: EngineMetrics holds them
+ * as live atomics (C = std::atomic<u64>), MetricsSnapshot as values
+ * (C = u64).
+ */
+template <class C>
+struct EngineCounters
 {
     // Submission front-end.
-    u64 submitted = 0;    //!< requests accepted into the queue
-    u64 completed = 0;    //!< requests whose future carried an ok Result
-    u64 failed = 0;       //!< requests whose future carried a failed Result
-    u64 rejected = 0;     //!< requests refused by the Reject policy
-    u64 shed = 0;         //!< queued requests dropped by the ShedOldest policy
-    u64 invalid = 0;      //!< requests refused by input validation
-    u64 queue_depth = 0;  //!< current queued (not yet dispatched) requests
-    u64 queue_peak = 0;   //!< high-water mark of queue_depth
-    u64 microbatches = 0; //!< pool tasks that fused >= 2 small requests
-    u64 batched_pairs = 0; //!< requests that rode inside a micro-batch
+    C submitted{};     //!< requests accepted into the queue
+    C completed{};     //!< requests whose future carried an ok Result
+    C failed{};        //!< requests whose future carried a failed Result
+    C rejected{};      //!< requests refused by the Reject policy
+    C shed{};          //!< queued requests dropped by the ShedOldest policy
+    C invalid{};       //!< requests refused by input validation
+    C queue_depth{};   //!< current queued (not yet dispatched) requests
+    C queue_peak{};    //!< high-water mark of queue_depth
+    C microbatches{};  //!< pool tasks that fused >= 2 small requests
+    C batched_pairs{}; //!< requests that rode inside a micro-batch
 
     /**
      * Lane-packed filter-tier groups: how often the engine ran the
@@ -121,19 +135,28 @@ struct MetricsSnapshot
      * (filter_batch_lanes[l] = groups that ran with l+1 lanes filled —
      * partial tails land in the lower slots).
      */
-    u64 filter_batches = 0;
-    u64 filter_batched_pairs = 0;
-    std::array<u64, 4> filter_batch_lanes{};
+    C filter_batches{};
+    C filter_batched_pairs{};
+    std::array<C, 4> filter_batch_lanes{};
 
     // Robustness: deadline / cancel / memory-budget outcomes.
-    u64 deadline_missed = 0;   //!< requests failed with DeadlineExceeded
-    u64 cancelled = 0;         //!< requests failed with Cancelled
-    u64 downgraded = 0;        //!< budget pressure: Hirschberg fallback
-    u64 resource_rejected = 0; //!< failed with ResourceExhausted
-    u64 mem_budget_bytes = 0;  //!< configured budget (0 = unlimited)
+    C deadline_missed{};   //!< requests failed with DeadlineExceeded
+    C cancelled{};         //!< requests failed with Cancelled
+    C downgraded{};        //!< budget pressure: Hirschberg fallback
+    C resource_rejected{}; //!< failed with ResourceExhausted
+    C arena_peak_bytes{};  //!< max per-worker scratch-arena footprint
+
+    // Cascade tiers.
+    std::array<C, kTierCount> tier_hits{};       //!< completions per tier
+    std::array<C, kTierCount> tier_peak_bytes{}; //!< max footprint per tier
+};
+
+/** Point-in-time copy of every engine counter. Plain values, no atomics. */
+struct MetricsSnapshot : EngineCounters<u64>
+{
+    u64 mem_budget_bytes = 0;   //!< configured budget (0 = unlimited)
     u64 mem_reserved_bytes = 0; //!< currently reserved estimates
     u64 mem_reserved_peak = 0;  //!< high-water mark of reserved estimates
-    u64 arena_peak_bytes = 0;   //!< max per-worker scratch-arena footprint
 
     // Engine workers.
     u64 pool_workers = 0;  //!< worker threads popping the queue
@@ -144,10 +167,6 @@ struct MetricsSnapshot
      * it goes when that benchmark drops engine.steals_per_kpair.
      */
     u64 pool_steals = 0;
-
-    // Cascade tiers.
-    std::array<u64, kTierCount> tier_hits{}; //!< completions per tier
-    std::array<u64, kTierCount> tier_peak_bytes{}; //!< max footprint per tier
 
     /**
      * Per-tier observability: kernel work accounting and the split
@@ -183,13 +202,7 @@ struct MetricsSnapshot
     };
     std::array<TierStats, kTierCount> tiers{};
 
-    // Latency, request submit -> future fulfilled.
-    std::vector<u64> latency_buckets; //!< log2-microsecond histogram
-    u64 latency_count = 0;
-    double latency_sum_us = 0.0; //!< true running sum, not mean * count
-    double latency_mean_us = 0.0;
-    double latency_p50_us = 0.0;
-    double latency_p99_us = 0.0;
+    LatencySummary latency; //!< request submit -> future fulfilled
 
     /**
      * Serialize as a single JSON object (stable key order, no trailing
@@ -202,23 +215,9 @@ struct MetricsSnapshot
  * The live counters. One instance per Engine; sharable by reference with
  * the cascade so tier hits land in the same snapshot.
  */
-class EngineMetrics
+class EngineMetrics : public EngineCounters<std::atomic<u64>>
 {
   public:
-    std::atomic<u64> submitted{0};
-    std::atomic<u64> completed{0};
-    std::atomic<u64> failed{0};
-    std::atomic<u64> rejected{0};
-    std::atomic<u64> shed{0};
-    std::atomic<u64> invalid{0};
-    std::atomic<u64> queue_depth{0};
-    std::atomic<u64> queue_peak{0};
-    std::atomic<u64> microbatches{0};
-    std::atomic<u64> batched_pairs{0};
-    std::atomic<u64> filter_batches{0};
-    std::atomic<u64> filter_batched_pairs{0};
-    std::array<std::atomic<u64>, 4> filter_batch_lanes{};
-
     /** Count one lane-packed filter group that ran with @p lanes lanes. */
     void recordFilterBatch(size_t lanes)
     {
@@ -228,18 +227,11 @@ class EngineMetrics
             filter_batch_lanes[lanes - 1].fetch_add(
                 1, std::memory_order_relaxed);
     }
-    std::atomic<u64> deadline_missed{0};
-    std::atomic<u64> cancelled{0};
-    std::atomic<u64> downgraded{0};
-    std::atomic<u64> resource_rejected{0};
-    std::array<std::atomic<u64>, kTierCount> tier_hits{};
-    std::array<std::atomic<u64>, kTierCount> tier_peak_bytes{};
     std::array<std::atomic<u64>, kTierCount> tier_attempts{};
     std::array<std::atomic<u64>, kTierCount> tier_cells{};
     std::array<std::atomic<double>, kTierCount> tier_work_us{};
     std::array<std::atomic<double>, kTierCount> tier_setup_us{};
     std::array<std::atomic<double>, kTierCount> tier_kernel_us{};
-    std::atomic<u64> arena_peak_bytes{0};
     std::array<LatencyHistogram, kTierCount> queue_wait{};
     std::array<LatencyHistogram, kTierCount> service{};
     LatencyHistogram latency;
@@ -249,7 +241,7 @@ class EngineMetrics
     {
         const unsigned i = static_cast<unsigned>(t);
         tier_hits[i].fetch_add(1, std::memory_order_relaxed);
-        noteMax(tier_peak_bytes[i], estimated_bytes);
+        atomicMax(tier_peak_bytes[i], estimated_bytes);
     }
 
     /**
@@ -268,7 +260,7 @@ class EngineMetrics
     }
 
     /** Raise the worker scratch-arena high-water mark to @p bytes. */
-    void noteArenaPeak(u64 bytes) { noteMax(arena_peak_bytes, bytes); }
+    void noteArenaPeak(u64 bytes) { atomicMax(arena_peak_bytes, bytes); }
 
     /** Record the split latency of a request answered by tier @p t. */
     void recordTimings(Tier t, double queue_wait_s, double service_s)
@@ -278,8 +270,8 @@ class EngineMetrics
         service[i].record(service_s);
     }
 
-    /** Raise queue_peak to at least @p depth (monotonic CAS loop). */
-    void notePeak(u64 depth);
+    /** Raise queue_peak to at least @p depth. */
+    void notePeak(u64 depth) { atomicMax(queue_peak, depth); }
 
     /**
      * Copy everything into a snapshot. Worker and budget numbers are
@@ -289,10 +281,6 @@ class EngineMetrics
                              u64 mem_budget_bytes = 0,
                              u64 mem_reserved_bytes = 0,
                              u64 mem_reserved_peak = 0) const;
-
-  private:
-    /** Monotonic CAS max. */
-    static void noteMax(std::atomic<u64> &slot, u64 value);
 };
 
 } // namespace gmx::engine

@@ -1,6 +1,6 @@
 #include "engine/trace.hh"
 
-#include <sstream>
+#include "engine/exporter.hh"
 
 namespace gmx::engine {
 
@@ -128,16 +128,24 @@ TraceRecorder::spansFor(u64 id) const
 
 namespace {
 
-/** Emit one span object; shared by the full dump and the id lookup. */
-void
-spanJson(std::ostringstream &os, const TraceSpan &s)
+/** `"spans":[...]` and close the object; shared by both dumps. */
+std::string
+writeSpans(JsonWriter &w, const std::vector<TraceSpan> &spans)
 {
-    os << "{\"id\":" << s.id << ",\"event\":\"" << traceEventName(s.event)
-       << "\"";
-    if (s.has_tier)
-        os << ",\"tier\":\"" << tierName(s.tier) << "\"";
-    os << ",\"code\":\"" << statusCodeName(s.code) << "\""
-       << ",\"t_us\":" << s.t_us << ",\"detail\":" << s.detail << "}";
+    w.key("spans").beginArray();
+    for (const TraceSpan &s : spans) {
+        w.beginObject();
+        w.key("id").value(s.id);
+        w.key("event").string(traceEventName(s.event));
+        if (s.has_tier)
+            w.key("tier").string(tierName(s.tier));
+        w.key("code").string(statusCodeName(s.code));
+        w.key("t_us").value(s.t_us);
+        w.key("detail").value(s.detail);
+        w.endObject();
+    }
+    w.endArray().endObject();
+    return w.str();
 }
 
 } // namespace
@@ -145,34 +153,22 @@ spanJson(std::ostringstream &os, const TraceSpan &s)
 std::string
 TraceRecorder::toJson() const
 {
-    const auto all = spans();
-    std::ostringstream os;
-    os << "{\"recorded\":" << recorded() << ",\"dropped\":" << dropped()
-       << ",\"spans\":[";
-    for (size_t i = 0; i < all.size(); ++i) {
-        if (i)
-            os << ",";
-        spanJson(os, all[i]);
-    }
-    os << "]}";
-    return os.str();
+    JsonWriter w;
+    w.beginObject();
+    w.key("recorded").value(recorded());
+    w.key("dropped").value(dropped());
+    return writeSpans(w, spans());
 }
 
 std::string
 TraceRecorder::jsonFor(u64 id) const
 {
     const auto mine = spansFor(id);
-    std::ostringstream os;
-    os << "{\"id\":" << id
-       << ",\"found\":" << (mine.empty() ? "false" : "true")
-       << ",\"spans\":[";
-    for (size_t i = 0; i < mine.size(); ++i) {
-        if (i)
-            os << ",";
-        spanJson(os, mine[i]);
-    }
-    os << "]}";
-    return os.str();
+    JsonWriter w;
+    w.beginObject();
+    w.key("id").value(id);
+    w.key("found").value(!mine.empty());
+    return writeSpans(w, mine);
 }
 
 const char *
@@ -210,30 +206,28 @@ std::string
 SlowRequestStore::toJson() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::ostringstream os;
-    os << "{\"noted\":" << noted_ << ",\"by_tier\":{";
+    JsonWriter w;
+    w.beginObject();
+    w.key("noted").value(noted_);
+    w.key("by_tier").beginObject();
     for (unsigned lane = 0; lane < kLanes; ++lane) {
-        if (lane)
-            os << ",";
-        os << "\"" << laneName(lane) << "\":[";
-        bool first = true;
+        w.key(laneName(lane)).beginArray();
         for (const SlowExemplar &e : lanes_[lane]) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"id\":" << e.id;
+            w.beginObject();
+            w.key("id").value(e.id);
             if (e.has_tier)
-                os << ",\"tier\":\"" << tierName(e.tier) << "\"";
-            os << ",\"code\":\"" << statusCodeName(e.code) << "\""
-               << ",\"total_us\":" << e.total_us
-               << ",\"queue_wait_us\":" << e.queue_wait_us
-               << ",\"service_us\":" << e.service_us
-               << ",\"completed_us\":" << e.completed_us << "}";
+                w.key("tier").string(tierName(e.tier));
+            w.key("code").string(statusCodeName(e.code));
+            w.key("total_us").value(e.total_us);
+            w.key("queue_wait_us").value(e.queue_wait_us);
+            w.key("service_us").value(e.service_us);
+            w.key("completed_us").value(e.completed_us);
+            w.endObject();
         }
-        os << "]";
+        w.endArray();
     }
-    os << "}}";
-    return os.str();
+    w.endObject().endObject();
+    return w.str();
 }
 
 } // namespace gmx::engine

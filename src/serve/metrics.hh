@@ -8,6 +8,14 @@
  * MetricsServer's /metrics exposition via ServerConfig::extra_metrics).
  * Per-client rows live behind a small mutex — client cardinality is
  * bounded by who connects, not by request rate, so the lock is cold.
+ *
+ * A counter is declared once, in ServeCounters, which both the live
+ * ServeMetrics and the ServeSnapshot instantiate. Each metric's /vars
+ * key, OpenMetrics family and type are held once, in the field tables
+ * of metrics.cc: scalars (with the per-priority families), per-shard
+ * and per-client columns. snapshot(), toJson() and
+ * renderServeOpenMetrics() walk them through the writers of
+ * engine/exporter.hh.
  */
 
 #ifndef GMX_SERVE_METRICS_HH
@@ -20,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/atomic.hh"
 #include "common/types.hh"
 #include "serve/protocol.hh"
 
@@ -31,7 +40,7 @@ struct ShardStats
     u64 routed = 0;            //!< requests ever routed to this shard
     u64 outstanding = 0;       //!< submitted, future not yet consumed
     u64 outstanding_bytes = 0; //!< pattern+text bytes of those requests
-    u8 breaker_state = 0;      //!< BreakerState: 0 closed, 1 open, 2 half
+    u64 breaker_state = 0;     //!< BreakerState: 0 closed, 1 open, 2 half
     u64 breaker_opens = 0;     //!< cumulative breaker trips
     u64 breaker_probes = 0;    //!< cumulative HalfOpen probes admitted
     u64 window_samples = 0;    //!< completions in the rolling window
@@ -49,55 +58,63 @@ struct ClientStats
     u64 failed = 0;    //!< responses carrying a failed Status
 };
 
-/** Point-in-time copy of every serve counter. Plain values, no atomics. */
-struct ServeSnapshot
+/**
+ * The serve counters, declared once: ServeMetrics holds them as live
+ * atomics (C = std::atomic<u64>), ServeSnapshot as values (C = u64).
+ */
+template <class C>
+struct ServeCounters
 {
     // Connection lifecycle.
-    u64 connections_accepted = 0;
-    u64 connections_refused = 0; //!< over the cap, or queued at stop()
-    u64 accept_failures = 0;     //!< vanished between accept and handshake
-    u64 protocol_errors = 0;     //!< malformed/oversized/unexpected frames
+    C connections_accepted{};
+    C connections_refused{}; //!< over the cap, or queued at stop()
+    C accept_failures{};     //!< vanished between accept and handshake
+    C protocol_errors{};     //!< malformed/oversized/unexpected frames
 
     // Frame accounting.
-    u64 frames_in = 0;
-    u64 frames_out = 0;
-    u64 bytes_in = 0;
-    u64 bytes_out = 0;
+    C frames_in{};
+    C frames_out{};
+    C bytes_in{};
+    C bytes_out{};
 
     // Request outcomes.
-    u64 requests = 0;
-    u64 responses_ok = 0;
-    u64 responses_failed = 0;
-    u64 quota_throttled = 0;
-    std::array<u64, kPriorityCount> shed_by_priority{};
+    C requests{};
+    C responses_ok{};
+    C responses_failed{};
+    C quota_throttled{};
+    std::array<C, kPriorityCount> shed_by_priority{};
 
     // Serve-level admission gauge (requests submitted, not yet answered).
-    u64 pending = 0;
-    u64 pending_peak = 0;
+    C pending{};
+    C pending_peak{};
 
     // Dedup/result cache.
-    u64 cache_hits = 0;      //!< completed entry reused
-    u64 cache_coalesced = 0; //!< joined an in-flight computation
-    u64 cache_misses = 0;
-    u64 cache_evictions = 0;
-    u64 cache_invalidated = 0; //!< failed results dropped from the cache
-    u64 cache_drained = 0;     //!< entries dropped by breaker ejection
-    u64 cache_entries = 0;     //!< current resident entries (gauge)
+    C cache_hits{};        //!< completed entry reused
+    C cache_coalesced{};   //!< joined an in-flight computation
+    C cache_misses{};
+    C cache_evictions{};
+    C cache_invalidated{}; //!< failed results dropped from the cache
+    C cache_drained{};     //!< entries dropped by breaker ejection
+    C cache_entries{};     //!< current resident entries (gauge)
 
     // Deadline-budget accounting (requests carrying a wire deadline).
-    u64 deadline_requests = 0;       //!< requests that carried a budget
-    u64 deadline_refused = 0;        //!< budget spent before the engine
-    u64 deadline_budget_us = 0;      //!< sum of budgets as received
-    u64 deadline_queue_spent_us = 0; //!< sum spent in serve-side stages
+    C deadline_requests{};       //!< requests that carried a budget
+    C deadline_refused{};        //!< budget spent before the engine
+    C deadline_budget_us{};      //!< sum of budgets as received
+    C deadline_queue_spent_us{}; //!< sum spent in serve-side stages
 
     // Resilience.
-    u64 breaker_opens = 0;    //!< breaker trips across all shards
-    u64 breaker_rejected = 0; //!< Unavailable: every shard open
-    std::array<u64, kPriorityCount> brownout_shed{};
-    u64 brownout_level = 0;      //!< current level (gauge, 0-2)
-    u64 queue_wait_ewma_us = 0;  //!< smoothed response queue wait (gauge)
-    u64 watchdog_kills = 0;      //!< stuck connections force-closed
+    C breaker_opens{};    //!< breaker trips across all shards
+    C breaker_rejected{}; //!< Unavailable: every shard open
+    std::array<C, kPriorityCount> brownout_shed{};
+    C brownout_level{};     //!< current level (gauge, 0-2)
+    C queue_wait_ewma_us{}; //!< smoothed response queue wait (gauge)
+    C watchdog_kills{};     //!< stuck connections force-closed
+};
 
+/** Point-in-time copy of every serve counter. Plain values, no atomics. */
+struct ServeSnapshot : ServeCounters<u64>
+{
     std::vector<ShardStats> shards;
     std::vector<ClientStats> clients; //!< sorted by client id
 
@@ -117,44 +134,11 @@ struct ServeSnapshot
 std::string renderServeOpenMetrics(const ServeSnapshot &snap);
 
 /** The live counters. One instance per AlignServer. */
-class ServeMetrics
+class ServeMetrics : public ServeCounters<std::atomic<u64>>
 {
   public:
-    std::atomic<u64> connections_accepted{0};
-    std::atomic<u64> connections_refused{0};
-    std::atomic<u64> accept_failures{0};
-    std::atomic<u64> protocol_errors{0};
-    std::atomic<u64> frames_in{0};
-    std::atomic<u64> frames_out{0};
-    std::atomic<u64> bytes_in{0};
-    std::atomic<u64> bytes_out{0};
-    std::atomic<u64> requests{0};
-    std::atomic<u64> responses_ok{0};
-    std::atomic<u64> responses_failed{0};
-    std::atomic<u64> quota_throttled{0};
-    std::array<std::atomic<u64>, kPriorityCount> shed_by_priority{};
-    std::atomic<u64> pending{0};
-    std::atomic<u64> pending_peak{0};
-    std::atomic<u64> cache_hits{0};
-    std::atomic<u64> cache_coalesced{0};
-    std::atomic<u64> cache_misses{0};
-    std::atomic<u64> cache_evictions{0};
-    std::atomic<u64> cache_invalidated{0};
-    std::atomic<u64> cache_drained{0};
-    std::atomic<u64> cache_entries{0};
-    std::atomic<u64> deadline_requests{0};
-    std::atomic<u64> deadline_refused{0};
-    std::atomic<u64> deadline_budget_us{0};
-    std::atomic<u64> deadline_queue_spent_us{0};
-    std::atomic<u64> breaker_opens{0};
-    std::atomic<u64> breaker_rejected{0};
-    std::array<std::atomic<u64>, kPriorityCount> brownout_shed{};
-    std::atomic<u64> brownout_level{0};
-    std::atomic<u64> queue_wait_ewma_us{0};
-    std::atomic<u64> watchdog_kills{0};
-
-    /** Raise pending_peak to at least @p depth (monotonic CAS). */
-    void notePendingPeak(u64 depth);
+    /** Raise pending_peak to at least @p depth. */
+    void notePendingPeak(u64 depth) { atomicMax(pending_peak, depth); }
 
     /** Fold one observed response queue wait into the EWMA gauge. */
     void noteQueueWait(u64 wait_us, double alpha);
@@ -170,13 +154,9 @@ class ServeMetrics
     ServeSnapshot snapshot(std::vector<ShardStats> shards = {}) const;
 
   private:
-    struct ClientCells
-    {
-        u64 requests = 0, throttled = 0, shed = 0, completed = 0,
-            failed = 0;
-    };
     mutable std::mutex clients_mu_;
-    std::unordered_map<std::string, ClientCells> clients_;
+    std::unordered_map<std::string, ClientStats> clients_; //!< id unset
+
 };
 
 } // namespace gmx::serve

@@ -366,7 +366,7 @@ ShardRouter::shardStats() const
         {
             const Breaker &b = *breakers_[i];
             std::lock_guard<std::mutex> lk(b.mu);
-            s.breaker_state = static_cast<u8>(b.state);
+            s.breaker_state = static_cast<u64>(b.state);
             s.breaker_opens = b.opens;
             s.breaker_probes = b.probes;
             s.window_samples = b.samples;

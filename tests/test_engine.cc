@@ -449,8 +449,8 @@ TEST(Engine, MetricsSnapshotSerializesToJson)
     engine.alignAll(pairs, false);
     const auto snap = engine.metrics();
     EXPECT_EQ(snap.completed, 10u);
-    EXPECT_GT(snap.latency_count, 0u);
-    EXPECT_GT(snap.latency_mean_us, 0.0);
+    EXPECT_GT(snap.latency.count, 0u);
+    EXPECT_GT(snap.latency.mean_us, 0.0);
     const std::string json = snap.toJson();
     EXPECT_NE(json.find("\"submitted\":10"), std::string::npos);
     EXPECT_NE(json.find("\"tiers\":{"), std::string::npos);

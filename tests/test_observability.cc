@@ -26,6 +26,7 @@
 #include "engine/metrics.hh"
 #include "engine/trace.hh"
 #include "sequence/generator.hh"
+#include "test_util.hh"
 
 namespace gmx::engine {
 namespace {
@@ -328,7 +329,7 @@ TEST(EngineObservability, CountersReconcileAndTiersAccountTheWork)
     EXPECT_EQ(hits, snap.completed);
     EXPECT_EQ(qwait, snap.completed);
     EXPECT_EQ(service, snap.completed);
-    EXPECT_EQ(snap.latency_count, snap.completed);
+    EXPECT_EQ(snap.latency.count, snap.completed);
 
     // Escalations charge their failed attempts: attempts >= completions,
     // and real kernel work was accounted.
@@ -480,7 +481,7 @@ TEST(Exporter, RendersValidOpenMetricsText)
         text.substr(inf + std::string("gmx_request_latency_seconds_bucket"
                                       "{le=\"+Inf\"} ")
                               .size()));
-    EXPECT_EQ(inf_count, snap.latency_count);
+    EXPECT_EQ(inf_count, snap.latency.count);
 
     // Every line is either a comment or "name[{labels}] value".
     std::istringstream lines(text);
@@ -513,13 +514,13 @@ TEST(Exporter, LatencySumIsExportedExactlyNotReconstructed)
     // The histogram and the snapshot both carry the exact running sum.
     EXPECT_EQ(m.latency.sumUs(), expect_us);
     const auto snap = m.snapshot(/*pool_workers=*/1, 0);
-    EXPECT_EQ(snap.latency_sum_us, expect_us);
-    EXPECT_EQ(snap.latency_count, 3u);
+    EXPECT_EQ(snap.latency.sum_us, expect_us);
+    EXPECT_EQ(snap.latency.count, 3u);
 
     // The old reconstruction provably differs from the true sum, both as
     // doubles and — the part a scraper sees — at the exporter's %.9g.
     const double recon_us =
-        snap.latency_mean_us * static_cast<double>(snap.latency_count);
+        snap.latency.mean_us * static_cast<double>(snap.latency.count);
     EXPECT_NE(recon_us, expect_us);
     const auto fmt9 = [](double v) {
         char buf[64];
@@ -553,6 +554,275 @@ TEST(Exporter, EmptyEngineStillRendersCompleteFamilies)
               std::string::npos);
     EXPECT_NE(text.find("gmx_request_latency_seconds_count 0"),
               std::string::npos);
+}
+
+// ------------------------------------------------- golden exposition
+//
+// Pinned renders of a hand-built snapshot. Each metric is a row of the
+// engine's field table; dropping, renaming or retyping a row changes
+// these strings.
+
+LatencySummary
+goldenSummary(u64 seed)
+{
+    LatencySummary l;
+    l.buckets.assign(LatencyHistogram::kBuckets, 0);
+    l.buckets[0] = seed;
+    l.buckets[2] = seed + 1;
+    l.buckets[5] = seed + 2;
+    l.count = 3 * seed + 3;
+    l.sum_us = 1000.125 * static_cast<double>(seed);
+    l.mean_us = l.sum_us / static_cast<double>(l.count);
+    l.p50_us = 4.0 * static_cast<double>(seed);
+    l.p99_us = 32.0 * static_cast<double>(seed);
+    return l;
+}
+
+/**
+ * A snapshot with a distinct non-zero value in every field; tiers 0 and
+ * 2 carry histograms. Large byte counts pin the %.9g gauge rendering.
+ */
+MetricsSnapshot
+goldenEngineSnapshot()
+{
+    MetricsSnapshot s;
+    u64 v = 1;
+    for (u64 *f : {&s.submitted, &s.completed, &s.failed, &s.rejected,
+                   &s.shed, &s.invalid, &s.queue_depth, &s.queue_peak,
+                   &s.microbatches, &s.batched_pairs, &s.filter_batches,
+                   &s.filter_batched_pairs, &s.deadline_missed,
+                   &s.cancelled, &s.downgraded, &s.resource_rejected,
+                   &s.mem_reserved_peak, &s.arena_peak_bytes,
+                   &s.pool_workers, &s.pool_executed, &s.pool_steals})
+        *f = v++;
+    for (u64 &l : s.filter_batch_lanes)
+        l = v++;
+    s.mem_budget_bytes = 4294967296ull;
+    s.mem_reserved_bytes = 1234567891ull;
+    for (unsigned t = 0; t < kTierCount; ++t) {
+        MetricsSnapshot::TierStats &ts = s.tiers[t];
+        s.tier_hits[t] = v++;
+        s.tier_peak_bytes[t] = 1000000000ull * v++;
+        ts.attempts = v++;
+        ts.cells = v++;
+        ts.work_us = 1234.5625 * static_cast<double>(v++);
+        ts.setup_us = 0.0001220703125 * static_cast<double>(v++);
+        ts.kernel_us = 98765.4375 * static_cast<double>(v++);
+        ts.gcups = 0.25 * static_cast<double>(v++);
+        if (t == 0 || t == 2) {
+            ts.queue_wait = goldenSummary(v++);
+            ts.service = goldenSummary(v++);
+        }
+    }
+    s.latency = goldenSummary(v++);
+    return s;
+}
+
+const char *const kGoldenEngineJson =
+    R"js({"submitted":1,"completed":2,"failed":3,"rejected":4,"shed":5,)js"
+    R"js("invalid":6,"queue_depth":7,"queue_peak":8,"microbatches":9,)js"
+    R"js("batched_pairs":10,"filter_batches":11,"filter_batched_pairs":12,)js"
+    R"js("filter_batch_lanes":[22,23,24,25],"deadline_missed":13,)js"
+    R"js("cancelled":14,"downgraded":15,"resource_rejected":16,)js"
+    R"js("memory":{"budget":4294967296,"reserved":1234567891,)js"
+    R"js("reserved_peak":17,"arena_peak":18},"pool":{"workers":19,)js"
+    R"js("executed":20},"tiers":{"filter":{"hits":26,)js"
+    R"js("peak_bytes":27000000000,"attempts":28,"cells":29,)js"
+    R"js("work_us":37036.9,"setup_us":0.00378418,"kernel_us":3.16049e+06,)js"
+    R"js("gcups":8.25,"queue_wait_us":{"count":105,"sum":34004.2,)js"
+    R"js("mean":323.85,"p50":136,"p99":1088},"service_us":{"count":108,)js"
+    R"js("sum":35004.4,"mean":324.115,"p50":140,"p99":1120}},)js"
+    R"js("banded":{"hits":36,"peak_bytes":37000000000,"attempts":38,)js"
+    R"js("cells":39,"work_us":49382.5,"setup_us":0.00500488,)js"
+    R"js("kernel_us":4.14815e+06,"gcups":10.75,"queue_wait_us":{"count":0,)js"
+    R"js("sum":0,"mean":0,"p50":0,"p99":0},"service_us":{"count":0,"sum":0,)js"
+    R"js("mean":0,"p50":0,"p99":0}},"full":{"hits":44,)js"
+    R"js("peak_bytes":45000000000,"attempts":46,"cells":47,"work_us":59259,)js"
+    R"js("setup_us":0.00598145,"kernel_us":4.93827e+06,"gcups":12.75,)js"
+    R"js("queue_wait_us":{"count":159,"sum":52006.5,"mean":327.085,)js"
+    R"js("p50":208,"p99":1664},"service_us":{"count":162,"sum":53006.6,)js"
+    R"js("mean":327.201,"p50":212,"p99":1696}},"downgraded":{"hits":54,)js"
+    R"js("peak_bytes":55000000000,"attempts":56,"cells":57,)js"
+    R"js("work_us":71604.6,"setup_us":0.00720215,"kernel_us":5.92593e+06,)js"
+    R"js("gcups":15.25,"queue_wait_us":{"count":0,"sum":0,"mean":0,"p50":0,)js"
+    R"js("p99":0},"service_us":{"count":0,"sum":0,"mean":0,"p50":0,)js"
+    R"js("p99":0}},"streamed":{"hits":62,"peak_bytes":63000000000,)js"
+    R"js("attempts":64,"cells":65,"work_us":81481.1,"setup_us":0.00817871,)js"
+    R"js("kernel_us":6.71605e+06,"gcups":17.25,"queue_wait_us":{"count":0,)js"
+    R"js("sum":0,"mean":0,"p50":0,"p99":0},"service_us":{"count":0,"sum":0,)js"
+    R"js("mean":0,"p50":0,"p99":0}}},"latency_us":{"count":213,)js"
+    R"js("sum":70008.8,"mean":328.68,"p50":280,"p99":2240,)js"
+    R"js("log2_buckets":[70,0,71,0,0,72]}})js";
+
+const char *const kGoldenEngineOpenMetrics = R"om(
+# TYPE gmx_requests_submitted counter
+gmx_requests_submitted_total 1
+# TYPE gmx_requests_completed counter
+gmx_requests_completed_total 2
+# TYPE gmx_requests_failed counter
+gmx_requests_failed_total 3
+# TYPE gmx_requests_rejected counter
+gmx_requests_rejected_total 4
+# TYPE gmx_requests_shed counter
+gmx_requests_shed_total 5
+# TYPE gmx_requests_invalid counter
+gmx_requests_invalid_total 6
+# TYPE gmx_requests_deadline_missed counter
+gmx_requests_deadline_missed_total 13
+# TYPE gmx_requests_cancelled counter
+gmx_requests_cancelled_total 14
+# TYPE gmx_requests_downgraded counter
+gmx_requests_downgraded_total 15
+# TYPE gmx_requests_resource_rejected counter
+gmx_requests_resource_rejected_total 16
+# TYPE gmx_microbatches counter
+gmx_microbatches_total 9
+# TYPE gmx_batched_pairs counter
+gmx_batched_pairs_total 10
+# TYPE gmx_filter_batches counter
+gmx_filter_batches_total 11
+# TYPE gmx_filter_batched_pairs counter
+gmx_filter_batched_pairs_total 12
+# TYPE gmx_filter_batch_groups counter
+gmx_filter_batch_groups_total{lanes="1"} 22
+gmx_filter_batch_groups_total{lanes="2"} 23
+gmx_filter_batch_groups_total{lanes="3"} 24
+gmx_filter_batch_groups_total{lanes="4"} 25
+# TYPE gmx_pool_tasks_executed counter
+gmx_pool_tasks_executed_total 20
+# TYPE gmx_queue_depth gauge
+gmx_queue_depth 7
+# TYPE gmx_queue_peak gauge
+gmx_queue_peak 8
+# TYPE gmx_pool_workers gauge
+gmx_pool_workers 19
+# TYPE gmx_memory_budget_bytes gauge
+gmx_memory_budget_bytes 4.2949673e+09
+# TYPE gmx_memory_reserved_bytes gauge
+gmx_memory_reserved_bytes 1.23456789e+09
+# TYPE gmx_memory_reserved_peak_bytes gauge
+gmx_memory_reserved_peak_bytes 17
+# TYPE gmx_arena_peak_bytes gauge
+gmx_arena_peak_bytes 18
+# TYPE gmx_tier_completed counter
+gmx_tier_completed_total{tier="filter"} 26
+gmx_tier_completed_total{tier="banded"} 36
+gmx_tier_completed_total{tier="full"} 44
+gmx_tier_completed_total{tier="downgraded"} 54
+gmx_tier_completed_total{tier="streamed"} 62
+# TYPE gmx_tier_attempts counter
+gmx_tier_attempts_total{tier="filter"} 28
+gmx_tier_attempts_total{tier="banded"} 38
+gmx_tier_attempts_total{tier="full"} 46
+gmx_tier_attempts_total{tier="downgraded"} 56
+gmx_tier_attempts_total{tier="streamed"} 64
+# TYPE gmx_tier_cells counter
+gmx_tier_cells_total{tier="filter"} 29
+gmx_tier_cells_total{tier="banded"} 39
+gmx_tier_cells_total{tier="full"} 47
+gmx_tier_cells_total{tier="downgraded"} 57
+gmx_tier_cells_total{tier="streamed"} 65
+# TYPE gmx_tier_peak_bytes gauge
+gmx_tier_peak_bytes{tier="filter"} 27000000000
+gmx_tier_peak_bytes{tier="banded"} 37000000000
+gmx_tier_peak_bytes{tier="full"} 45000000000
+gmx_tier_peak_bytes{tier="downgraded"} 55000000000
+gmx_tier_peak_bytes{tier="streamed"} 63000000000
+# TYPE gmx_tier_setup_seconds counter
+gmx_tier_setup_seconds_total{tier="filter"} 3.78417969e-09
+gmx_tier_setup_seconds_total{tier="banded"} 5.00488281e-09
+gmx_tier_setup_seconds_total{tier="full"} 5.98144531e-09
+gmx_tier_setup_seconds_total{tier="downgraded"} 7.20214844e-09
+gmx_tier_setup_seconds_total{tier="streamed"} 8.17871094e-09
+# TYPE gmx_tier_kernel_seconds counter
+gmx_tier_kernel_seconds_total{tier="filter"} 3.160494
+gmx_tier_kernel_seconds_total{tier="banded"} 4.14814837
+gmx_tier_kernel_seconds_total{tier="full"} 4.93827187
+gmx_tier_kernel_seconds_total{tier="downgraded"} 5.92592625
+gmx_tier_kernel_seconds_total{tier="streamed"} 6.71604975
+# TYPE gmx_tier_gcups gauge
+gmx_tier_gcups{tier="filter"} 8.25
+gmx_tier_gcups{tier="banded"} 10.75
+gmx_tier_gcups{tier="full"} 12.75
+gmx_tier_gcups{tier="downgraded"} 15.25
+gmx_tier_gcups{tier="streamed"} 17.25
+# TYPE gmx_request_latency_seconds histogram
+gmx_request_latency_seconds_bucket{le="1e-06"} 70
+gmx_request_latency_seconds_bucket{le="2e-06"} 70
+gmx_request_latency_seconds_bucket{le="4e-06"} 141
+gmx_request_latency_seconds_bucket{le="8e-06"} 141
+gmx_request_latency_seconds_bucket{le="1.6e-05"} 141
+gmx_request_latency_seconds_bucket{le="3.2e-05"} 213
+gmx_request_latency_seconds_bucket{le="+Inf"} 213
+gmx_request_latency_seconds_sum 0.07000875
+gmx_request_latency_seconds_count 213
+# TYPE gmx_queue_wait_seconds histogram
+gmx_queue_wait_seconds_bucket{tier="filter",le="1e-06"} 34
+gmx_queue_wait_seconds_bucket{tier="filter",le="2e-06"} 34
+gmx_queue_wait_seconds_bucket{tier="filter",le="4e-06"} 69
+gmx_queue_wait_seconds_bucket{tier="filter",le="8e-06"} 69
+gmx_queue_wait_seconds_bucket{tier="filter",le="1.6e-05"} 69
+gmx_queue_wait_seconds_bucket{tier="filter",le="3.2e-05"} 105
+gmx_queue_wait_seconds_bucket{tier="filter",le="+Inf"} 105
+gmx_queue_wait_seconds_sum{tier="filter"} 0.03400425
+gmx_queue_wait_seconds_count{tier="filter"} 105
+gmx_queue_wait_seconds_bucket{tier="banded",le="+Inf"} 0
+gmx_queue_wait_seconds_sum{tier="banded"} 0
+gmx_queue_wait_seconds_count{tier="banded"} 0
+gmx_queue_wait_seconds_bucket{tier="full",le="1e-06"} 52
+gmx_queue_wait_seconds_bucket{tier="full",le="2e-06"} 52
+gmx_queue_wait_seconds_bucket{tier="full",le="4e-06"} 105
+gmx_queue_wait_seconds_bucket{tier="full",le="8e-06"} 105
+gmx_queue_wait_seconds_bucket{tier="full",le="1.6e-05"} 105
+gmx_queue_wait_seconds_bucket{tier="full",le="3.2e-05"} 159
+gmx_queue_wait_seconds_bucket{tier="full",le="+Inf"} 159
+gmx_queue_wait_seconds_sum{tier="full"} 0.0520065
+gmx_queue_wait_seconds_count{tier="full"} 159
+gmx_queue_wait_seconds_bucket{tier="downgraded",le="+Inf"} 0
+gmx_queue_wait_seconds_sum{tier="downgraded"} 0
+gmx_queue_wait_seconds_count{tier="downgraded"} 0
+gmx_queue_wait_seconds_bucket{tier="streamed",le="+Inf"} 0
+gmx_queue_wait_seconds_sum{tier="streamed"} 0
+gmx_queue_wait_seconds_count{tier="streamed"} 0
+# TYPE gmx_service_time_seconds histogram
+gmx_service_time_seconds_bucket{tier="filter",le="1e-06"} 35
+gmx_service_time_seconds_bucket{tier="filter",le="2e-06"} 35
+gmx_service_time_seconds_bucket{tier="filter",le="4e-06"} 71
+gmx_service_time_seconds_bucket{tier="filter",le="8e-06"} 71
+gmx_service_time_seconds_bucket{tier="filter",le="1.6e-05"} 71
+gmx_service_time_seconds_bucket{tier="filter",le="3.2e-05"} 108
+gmx_service_time_seconds_bucket{tier="filter",le="+Inf"} 108
+gmx_service_time_seconds_sum{tier="filter"} 0.035004375
+gmx_service_time_seconds_count{tier="filter"} 108
+gmx_service_time_seconds_bucket{tier="banded",le="+Inf"} 0
+gmx_service_time_seconds_sum{tier="banded"} 0
+gmx_service_time_seconds_count{tier="banded"} 0
+gmx_service_time_seconds_bucket{tier="full",le="1e-06"} 53
+gmx_service_time_seconds_bucket{tier="full",le="2e-06"} 53
+gmx_service_time_seconds_bucket{tier="full",le="4e-06"} 107
+gmx_service_time_seconds_bucket{tier="full",le="8e-06"} 107
+gmx_service_time_seconds_bucket{tier="full",le="1.6e-05"} 107
+gmx_service_time_seconds_bucket{tier="full",le="3.2e-05"} 162
+gmx_service_time_seconds_bucket{tier="full",le="+Inf"} 162
+gmx_service_time_seconds_sum{tier="full"} 0.053006625
+gmx_service_time_seconds_count{tier="full"} 162
+gmx_service_time_seconds_bucket{tier="downgraded",le="+Inf"} 0
+gmx_service_time_seconds_sum{tier="downgraded"} 0
+gmx_service_time_seconds_count{tier="downgraded"} 0
+gmx_service_time_seconds_bucket{tier="streamed",le="+Inf"} 0
+gmx_service_time_seconds_sum{tier="streamed"} 0
+gmx_service_time_seconds_count{tier="streamed"} 0
+# EOF
+)om";
+
+TEST(Exporter, GoldenSnapshotRendersArePinned)
+{
+    const MetricsSnapshot snap = goldenEngineSnapshot();
+    EXPECT_EQ(snap.toJson(), kGoldenEngineJson);
+    const std::string text = renderOpenMetrics(snap);
+    EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+    EXPECT_EQ(test::familyBlocks(text),
+              test::familyBlocks(kGoldenEngineOpenMetrics));
 }
 
 } // namespace

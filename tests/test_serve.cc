@@ -32,6 +32,7 @@
 #include "serve/quota.hh"
 #include "serve/router.hh"
 #include "serve/server.hh"
+#include "test_util.hh"
 
 namespace gmx::serve {
 namespace {
@@ -1527,6 +1528,225 @@ TEST(AlignServer, WedgedShardBreakerOpensAndBatchSurvives)
     gate.set_value();
     for (auto &w : wedged)
         (void)w.get();
+}
+
+// -------------------------------------------------------------------
+// Serve metrics renders.
+// -------------------------------------------------------------------
+
+/** Every ServeSnapshot field distinct and non-zero: two shards, two clients. */
+serve::ServeSnapshot
+goldenServeSnapshot()
+{
+    serve::ServeSnapshot s;
+    u64 v = 101;
+    for (u64 *f :
+         {&s.connections_accepted, &s.connections_refused,
+          &s.accept_failures, &s.protocol_errors, &s.frames_in,
+          &s.frames_out, &s.bytes_in, &s.bytes_out, &s.requests,
+          &s.responses_ok, &s.responses_failed, &s.quota_throttled,
+          &s.pending, &s.cache_hits, &s.cache_coalesced, &s.cache_misses,
+          &s.cache_evictions, &s.cache_invalidated, &s.cache_drained,
+          &s.cache_entries, &s.deadline_requests, &s.deadline_refused,
+          &s.deadline_budget_us, &s.deadline_queue_spent_us,
+          &s.breaker_opens, &s.breaker_rejected, &s.queue_wait_ewma_us,
+          &s.watchdog_kills})
+        *f = v++;
+    for (u64 &p : s.shed_by_priority)
+        p = v++;
+    for (u64 &p : s.brownout_shed)
+        p = v++;
+    s.pending_peak = 9876543210ull;
+    s.brownout_level = 2;
+    for (unsigned i = 0; i < 2; ++i) {
+        serve::ShardStats sh;
+        for (u64 *f : {&sh.routed, &sh.outstanding, &sh.outstanding_bytes,
+                       &sh.breaker_opens, &sh.breaker_probes,
+                       &sh.window_samples, &sh.window_fails})
+            *f = v++;
+        sh.breaker_state = i + 1;
+        s.shards.push_back(sh);
+    }
+    for (const char *id : {"alpha", "beta-7"}) {
+        serve::ClientStats c;
+        c.id = id;
+        for (u64 *f : {&c.requests, &c.throttled, &c.shed, &c.completed,
+                       &c.failed})
+            *f = v++;
+        s.clients.push_back(c);
+    }
+    return s;
+}
+
+const char *const kGoldenServeJson =
+    R"js({"connections_accepted":101,"connections_refused":102,)js"
+    R"js("accept_failures":103,"protocol_errors":104,"frames_in":105,)js"
+    R"js("frames_out":106,"bytes_in":107,"bytes_out":108,"requests":109,)js"
+    R"js("responses_ok":110,"responses_failed":111,"quota_throttled":112,)js"
+    R"js("shed":{"low":129,"normal":130,"high":131},"pending":113,)js"
+    R"js("pending_peak":9876543210,"cache":{"hits":114,"coalesced":115,)js"
+    R"js("misses":116,"evictions":117,"invalidated":118,"drained":119,)js"
+    R"js("entries":120,"hit_rate":0.663768116},"deadline":{"requests":121,)js"
+    R"js("refused":122,"budget_us":123,"queue_spent_us":124},)js"
+    R"js("resilience":{"breaker_opens":125,"breaker_rejected":126,)js"
+    R"js("brownout_shed":{"low":132,"normal":133,"high":134},)js"
+    R"js("brownout_level":2,"queue_wait_ewma_us":127,"watchdog_kills":128},)js"
+    R"js("shards":[{"routed":135,"outstanding":136,"outstanding_bytes":137,)js"
+    R"js("breaker_state":1,"breaker_opens":138,"breaker_probes":139,)js"
+    R"js("window_samples":140,"window_fails":141},{"routed":142,)js"
+    R"js("outstanding":143,"outstanding_bytes":144,"breaker_state":2,)js"
+    R"js("breaker_opens":145,"breaker_probes":146,"window_samples":147,)js"
+    R"js("window_fails":148}],"clients":[{"id":"alpha","requests":149,)js"
+    R"js("throttled":150,"shed":151,"completed":152,"failed":153},)js"
+    R"js({"id":"beta-7","requests":154,"throttled":155,"shed":156,)js"
+    R"js("completed":157,"failed":158}]})js";
+
+const char *const kGoldenServeOpenMetrics = R"om(
+# TYPE gmx_serve_connections_accepted counter
+gmx_serve_connections_accepted_total 101
+# TYPE gmx_serve_connections_refused counter
+gmx_serve_connections_refused_total 102
+# TYPE gmx_serve_accept_failures counter
+gmx_serve_accept_failures_total 103
+# TYPE gmx_serve_protocol_errors counter
+gmx_serve_protocol_errors_total 104
+# TYPE gmx_serve_frames_in counter
+gmx_serve_frames_in_total 105
+# TYPE gmx_serve_frames_out counter
+gmx_serve_frames_out_total 106
+# TYPE gmx_serve_bytes_in counter
+gmx_serve_bytes_in_total 107
+# TYPE gmx_serve_bytes_out counter
+gmx_serve_bytes_out_total 108
+# TYPE gmx_serve_requests counter
+gmx_serve_requests_total 109
+# TYPE gmx_serve_responses_ok counter
+gmx_serve_responses_ok_total 110
+# TYPE gmx_serve_responses_failed counter
+gmx_serve_responses_failed_total 111
+# TYPE gmx_serve_quota_throttled counter
+gmx_serve_quota_throttled_total 112
+# TYPE gmx_serve_shed counter
+gmx_serve_shed_total{priority="low"} 129
+gmx_serve_shed_total{priority="normal"} 130
+gmx_serve_shed_total{priority="high"} 131
+# TYPE gmx_serve_pending gauge
+gmx_serve_pending 113
+# TYPE gmx_serve_pending_peak gauge
+gmx_serve_pending_peak 9.87654321e+09
+# TYPE gmx_serve_cache_hits counter
+gmx_serve_cache_hits_total 114
+# TYPE gmx_serve_cache_coalesced counter
+gmx_serve_cache_coalesced_total 115
+# TYPE gmx_serve_cache_misses counter
+gmx_serve_cache_misses_total 116
+# TYPE gmx_serve_cache_evictions counter
+gmx_serve_cache_evictions_total 117
+# TYPE gmx_serve_cache_invalidated counter
+gmx_serve_cache_invalidated_total 118
+# TYPE gmx_serve_cache_drained counter
+gmx_serve_cache_drained_total 119
+# TYPE gmx_serve_cache_entries gauge
+gmx_serve_cache_entries 120
+# TYPE gmx_serve_cache_hit_rate gauge
+gmx_serve_cache_hit_rate 0.663768116
+# TYPE gmx_serve_deadline_requests counter
+gmx_serve_deadline_requests_total 121
+# TYPE gmx_serve_deadline_refused counter
+gmx_serve_deadline_refused_total 122
+# TYPE gmx_serve_deadline_budget_us counter
+gmx_serve_deadline_budget_us_total 123
+# TYPE gmx_serve_deadline_queue_spent_us counter
+gmx_serve_deadline_queue_spent_us_total 124
+# TYPE gmx_serve_breaker_opens counter
+gmx_serve_breaker_opens_total 125
+# TYPE gmx_serve_breaker_rejected counter
+gmx_serve_breaker_rejected_total 126
+# TYPE gmx_serve_brownout_shed counter
+gmx_serve_brownout_shed_total{priority="low"} 132
+gmx_serve_brownout_shed_total{priority="normal"} 133
+gmx_serve_brownout_shed_total{priority="high"} 134
+# TYPE gmx_serve_brownout_level gauge
+gmx_serve_brownout_level 2
+# TYPE gmx_serve_queue_wait_ewma_us gauge
+gmx_serve_queue_wait_ewma_us 127
+# TYPE gmx_serve_watchdog_kills counter
+gmx_serve_watchdog_kills_total 128
+# TYPE gmx_serve_shard_routed counter
+gmx_serve_shard_routed_total{shard="0"} 135
+gmx_serve_shard_routed_total{shard="1"} 142
+# TYPE gmx_serve_shard_outstanding gauge
+gmx_serve_shard_outstanding{shard="0"} 136
+gmx_serve_shard_outstanding{shard="1"} 143
+# TYPE gmx_serve_shard_outstanding_bytes gauge
+gmx_serve_shard_outstanding_bytes{shard="0"} 137
+gmx_serve_shard_outstanding_bytes{shard="1"} 144
+# TYPE gmx_serve_shard_breaker_state gauge
+gmx_serve_shard_breaker_state{shard="0"} 1
+gmx_serve_shard_breaker_state{shard="1"} 2
+# TYPE gmx_serve_shard_breaker_opens counter
+gmx_serve_shard_breaker_opens_total{shard="0"} 138
+gmx_serve_shard_breaker_opens_total{shard="1"} 145
+# TYPE gmx_serve_shard_breaker_probes counter
+gmx_serve_shard_breaker_probes_total{shard="0"} 139
+gmx_serve_shard_breaker_probes_total{shard="1"} 146
+# TYPE gmx_serve_client_requests counter
+gmx_serve_client_requests_total{client="alpha"} 149
+gmx_serve_client_requests_total{client="beta-7"} 154
+# TYPE gmx_serve_client_throttled counter
+gmx_serve_client_throttled_total{client="alpha"} 150
+gmx_serve_client_throttled_total{client="beta-7"} 155
+# TYPE gmx_serve_client_shed counter
+gmx_serve_client_shed_total{client="alpha"} 151
+gmx_serve_client_shed_total{client="beta-7"} 156
+# TYPE gmx_serve_client_completed counter
+gmx_serve_client_completed_total{client="alpha"} 152
+gmx_serve_client_completed_total{client="beta-7"} 157
+# TYPE gmx_serve_client_failed counter
+gmx_serve_client_failed_total{client="alpha"} 153
+gmx_serve_client_failed_total{client="beta-7"} 158
+)om";
+
+TEST(ServeMetrics, GoldenSnapshotRendersArePinned)
+{
+    const ServeSnapshot snap = goldenServeSnapshot();
+    EXPECT_EQ(snap.toJson(), kGoldenServeJson);
+    const std::string text = renderServeOpenMetrics(snap);
+    EXPECT_EQ(text.find("# EOF"), std::string::npos);
+    EXPECT_EQ(test::familyBlocks(text),
+              test::familyBlocks(kGoldenServeOpenMetrics));
+}
+
+TEST(ServeMetrics, AnyClientIdIsOneValidDistinctLabel)
+{
+    // A client id is up to 256 arbitrary bytes from the Hello frame.
+    // OpenMetrics label values allow only the escapes \\ \" \n, and
+    // both documents must stay printable ASCII (hence valid UTF-8).
+    ServeMetrics m;
+    const std::string ids[] = {"a\tb", "a%09b", "b\\s",
+                               "n\nl", "p%c",   "q\"q",  "x\xff"};
+    for (const std::string &id : ids)
+        m.noteClient(id, ServeMetrics::ClientEvent::Request);
+    const ServeSnapshot snap = m.snapshot();
+    const std::string text = renderServeOpenMetrics(snap);
+    const std::string json = snap.toJson();
+
+    const char *const labels[] = {"a%09b", "a%2509b", "b\\\\s", "n%0Al",
+                                  "p%25c", "q\\\"q",   "x%FF"};
+    for (const char *label : labels) {
+        EXPECT_NE(text.find("gmx_serve_client_requests_total{client=\"" +
+                            std::string(label) + "\"} 1\n"),
+                  std::string::npos)
+            << label;
+        EXPECT_NE(json.find("{\"id\":\"" + std::string(label) + "\","),
+                  std::string::npos)
+            << label;
+    }
+    for (const std::string *doc : {&text, &json})
+        for (const char c : *doc)
+            EXPECT_TRUE((c >= 0x20 && c <= 0x7e) || c == '\n')
+                << "byte 0x" << std::hex
+                << static_cast<unsigned>(static_cast<unsigned char>(c));
 }
 
 } // namespace

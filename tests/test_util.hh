@@ -7,6 +7,8 @@
 #ifndef GMX_TESTS_TEST_UTIL_HH
 #define GMX_TESTS_TEST_UTIL_HH
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,28 @@ makePair(const PairParams &p)
 {
     seq::Generator gen(p.seed);
     return gen.pair(p.length, p.error_rate);
+}
+
+/**
+ * An OpenMetrics exposition as its family blocks (a `# TYPE` line plus
+ * its samples), sorted, without the `# EOF` trailer: two renders with
+ * the same families in any order compare equal.
+ */
+inline std::vector<std::string>
+familyBlocks(const std::string &text)
+{
+    std::vector<std::string> blocks;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line == "# EOF")
+            continue;
+        if (line.rfind("# TYPE ", 0) == 0 || blocks.empty())
+            blocks.emplace_back();
+        blocks.back() += line + "\n";
+    }
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
 }
 
 } // namespace gmx::test
