@@ -310,10 +310,10 @@ main(int argc, char **argv)
                 : 0.0);
     }
 
-    // Scalar vs SIMD kernel variants, priced on the kernel phase alone so
-    // the comparison isolates the DP inner loop from setup and dispatch.
-    // Each leg runs the registry descriptor directly (no engine) on the
-    // short-read shape the cascade's filter/banded tiers see most.
+    // Scalar bpm vs the inter-pair batcher, priced on the kernel phase
+    // alone so the comparison isolates the DP inner loop from setup and
+    // dispatch. The scalar leg runs the registry descriptor directly (no
+    // engine) on the short-read shape the cascade's filter tier sees most.
     {
         seq::Generator gen(9090);
         std::vector<seq::SequencePair> pairs;
@@ -323,14 +323,14 @@ main(int argc, char **argv)
         // One context per rep: phase times accumulate in nanoseconds
         // across the whole pass and convert to us once, so per-pair
         // microsecond truncation can't erase 1 us kernels.
-        auto measure_once = [&](const kernel::AlignerDescriptor &d,
-                                bool want_cigar) {
+        auto measure_once = [](const kernel::AlignerDescriptor &d,
+                               const std::vector<seq::SequencePair> &ps) {
             kernel::KernelParams params;
-            params.want_cigar = want_cigar;
+            params.want_cigar = false;
             KernelCounts counts;
             ScratchArena arena;
             KernelContext ctx(CancelToken{}, &counts, &arena);
-            for (const auto &p : pairs) {
+            for (const auto &p : ps) {
                 arena.reset();
                 (void)d.run(p, params, ctx);
             }
@@ -339,102 +339,50 @@ main(int argc, char **argv)
             return bench::kernelGcups(counts.cells, kernel_us);
         };
 
-        std::printf("\nScalar vs SIMD kernel-phase GCUPS (2000 x 150bp @ "
-                    "2%%, 1 thread, best of 5 interleaved; %s backend, "
-                    "dispatch %s):\n",
+        std::printf("\nScalar bpm vs inter-pair batch, kernel-phase GCUPS "
+                    "(1 thread, best of interleaved reps; %s backend, "
+                    "lane packing %s):\n",
                     simd::builtWithAvx2() ? "AVX2" : "portable-SIMD",
-                    kernel::simdDispatchEnabled() ? "prefers *-avx2"
-                                                  : "pinned scalar");
-        TextTable simd_table({"kernel", "dist GCUPS", "dist(avx2)", "x",
-                              "cigar GCUPS", "cigar(avx2)", "x"});
-        struct Leg
-        {
-            const char *scalar;
-            const char *simd;
+                    kernel::simdDispatchEnabled() ? "on" : "off");
+        // One batcher pass over a pair set.
+        auto batch_gcups = [](const std::vector<seq::SequencePair> &ps) {
+            std::vector<simd::BatchLane> lanes(ps.size());
+            for (size_t i = 0; i < ps.size(); ++i)
+                lanes[i].pair = &ps[i];
+            KernelCounts counts;
+            ScratchArena arena;
+            KernelContext ctx(CancelToken{}, &counts, &arena);
+            simd::bpmDistanceBatchLanes(lanes, ctx);
+            return bench::kernelGcups(
+                counts.cells,
+                static_cast<double>(ctx.takePhases().kernel_us));
         };
-        for (const Leg &leg : {Leg{"bpm", "bpm-avx2"},
-                               Leg{"bpm-banded", "bpm-banded-avx2"},
-                               Leg{"gmx-full", "gmx-full-avx2"}}) {
-            const kernel::AlignerDescriptor *s = reg.find(leg.scalar);
-            const kernel::AlignerDescriptor *v = reg.find(leg.simd);
-            if (!s || !v)
-                continue;
-            // Interleave scalar/SIMD reps so transient machine load hits
-            // both sides of the ratio instead of one.
-            double sd = 0.0, vd = 0.0, sc = 0.0, vc = 0.0;
-            for (int rep = 0; rep < 5; ++rep) {
-                sd = std::max(sd, measure_once(*s, false));
-                vd = std::max(vd, measure_once(*v, false));
-                sc = std::max(sc, measure_once(*s, true));
-                vc = std::max(vc, measure_once(*v, true));
-            }
-            simd_table.addRow(
-                {leg.scalar, TextTable::num(sd, 3), TextTable::num(vd, 3),
-                 sd > 0 ? TextTable::num(vd / sd, 2) : "-",
-                 TextTable::num(sc, 3), TextTable::num(vc, 3),
-                 sc > 0 ? TextTable::num(vc / sc, 2) : "-"});
-        }
-        simd_table.print();
 
         // Inter-pair batching: four <=64bp patterns packed one per lane.
         seq::Generator sgen(777);
         std::vector<seq::SequencePair> tiny;
         for (int i = 0; i < 4000; ++i)
             tiny.push_back(sgen.pair(60, 0.03));
-        std::vector<i64> batch_out(tiny.size());
         const kernel::AlignerDescriptor &bpm = reg.require("bpm");
-        kernel::KernelParams dist_params;
-        dist_params.want_cigar = false;
         double scalar_best = 0.0, batch_best = 0.0;
         for (int rep = 0; rep < 3; ++rep) {
-            {
-                KernelCounts counts;
-                ScratchArena arena;
-                KernelContext ctx(CancelToken{}, &counts, &arena);
-                for (const auto &p : tiny) {
-                    arena.reset();
-                    (void)bpm.run(p, dist_params, ctx);
-                }
-                const double kernel_us =
-                    static_cast<double>(ctx.takePhases().kernel_us);
-                scalar_best = std::max(
-                    scalar_best, bench::kernelGcups(counts.cells, kernel_us));
-            }
-            {
-                KernelCounts counts;
-                ScratchArena arena;
-                KernelContext ctx(CancelToken{}, &counts, &arena);
-                simd::bpmDistanceBatch4(tiny, batch_out, ctx);
-                const double kernel_us =
-                    static_cast<double>(ctx.takePhases().kernel_us);
-                batch_best = std::max(
-                    batch_best, bench::kernelGcups(counts.cells, kernel_us));
-            }
+            scalar_best = std::max(scalar_best, measure_once(bpm, tiny));
+            batch_best = std::max(batch_best, batch_gcups(tiny));
         }
         std::printf("  inter-pair batch (4000 x 60bp, 4 lanes/vector): "
                     "scalar %.3f GCUPS, batched %.3f GCUPS (%.2fx)\n",
                     scalar_best, batch_best,
                     scalar_best > 0 ? batch_best / scalar_best : 0.0);
 
-        // Same 150 bp working set as the table above. Batching four pairs
-        // per vector keeps every op per-lane (no emulated 256-bit carry on
-        // the serial chain), so this is the formulation that decisively
-        // beats the scalar kernel on short-read distance screens.
-        std::vector<i64> out150(pairs.size());
-        auto batch_once = [&]() {
-            KernelCounts counts;
-            ScratchArena arena;
-            KernelContext ctx(CancelToken{}, &counts, &arena);
-            simd::bpmDistanceBatch4(pairs, out150, ctx);
-            return bench::kernelGcups(
-                counts.cells,
-                static_cast<double>(ctx.takePhases().kernel_us));
-        };
-        const kernel::AlignerDescriptor &bpm_scalar = reg.require("bpm");
+        // The 150 bp short-read screen. Batching four pairs per vector
+        // keeps every op per-lane, so the column's serial chain is as
+        // short as the scalar kernel's and the vector buys four pairs per
+        // step: the formulation that beats the scalar kernel on
+        // short-read distance screens.
         double s150 = 0.0, b150 = 0.0;
         for (int rep = 0; rep < 5; ++rep) {
-            s150 = std::max(s150, measure_once(bpm_scalar, false));
-            b150 = std::max(b150, batch_once());
+            s150 = std::max(s150, measure_once(bpm, pairs));
+            b150 = std::max(b150, batch_gcups(pairs));
         }
         std::printf("  inter-pair batch (2000 x 150bp, 3 blocks/lane): "
                     "scalar %.3f GCUPS, batched %.3f GCUPS (%.2fx)\n",

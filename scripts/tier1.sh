@@ -101,16 +101,16 @@ trap - EXIT
 rm -f "$serve_log"
 echo "scrape smoke OK (port $port)"
 
-echo "== SIMD pass (AVX2 kernels: dispatch, bit-identity, forced scalar) =="
-# The -mavx2 leg of the registry: twin bit-identity (bpm-avx2 et al. vs
-# their scalar twins), the runtime dispatcher, the inter-pair batcher,
-# and the estimator contract for the SIMD descriptors — then the same
-# registry/dispatch tests re-run under GMX_FORCE_SCALAR=1 so the env
+echo "== SIMD pass (4-lane batcher, dispatch gate, arena estimates, forced scalar) =="
+# The -mavx2 TU holds one kernel, the 4-lane inter-pair batcher: its
+# distances against scalar bpm across every lane width (Bpm), the
+# runtime gate and its test seam (Dispatch), and the arena estimates of
+# the batch group and of every registry kernel (ScratchArena). Then the
+# gate and registry tests re-run under GMX_FORCE_SCALAR=1 so the env
 # override path (not just the in-process test seam) stays honest. On
-# hosts without AVX2 the SIMD variants skip and the scalar leg still
-# runs.
+# hosts without AVX2 the batcher runs its portable backend.
 ctest --test-dir build --output-on-failure -j"$(nproc)" \
-    -R 'Registry|ScratchArena|Dispatch|Bpm'
+    -R 'Bpm|Dispatch|ScratchArena'
 GMX_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j"$(nproc)" \
     -R 'Registry|Dispatch'
 
@@ -129,10 +129,11 @@ echo "== UBSan pass (kernel registry + arena + engine + GMX unit tests) =="
 # The KernelContext refactor routes every kernel's scratch through the
 # bump arena; UndefinedBehaviorSanitizer (no-recover) guards the pointer
 # arithmetic, alignment casts, and 64-bit shift tricks on those paths —
-# including the AVX2 TU's lane extracts and emulated 256-bit carries
-# (test_dispatch drives the dispatched and forced-scalar cascades). The
-# GMX tile step, gmx.tb column walk and ISA models shift by lane index up
-# to T = 64, where a shift by the full word width is undefined.
+# including the batcher TU's lane extracts and per-lane variable shifts
+# (test_bpm drives every lane width, test_dispatch the cascade under
+# both overrides). The GMX tile step, gmx.tb column walk and ISA models
+# shift by lane index up to T = 64, where a shift by the full word width
+# is undefined.
 cmake -B build-ubsan -S . -DGMX_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target \
     test_registry test_arena test_dispatch test_nw test_bpm \

@@ -121,6 +121,12 @@ bpmDistance(const seq::Sequence &pattern, const seq::Sequence &text)
     return bpmDistance(pattern, text, ctx);
 }
 
+namespace {
+
+/**
+ * Traceback over a Pv/Mv column history laid out with @p stride words
+ * per column (column j at hist[(j-1) * stride]).
+ */
 AlignResult
 bpmTracebackFromHistory(const seq::Sequence &pattern,
                         const seq::Sequence &text,
@@ -215,6 +221,8 @@ bpmTracebackFromHistory(const seq::Sequence &pattern,
     res.cigar = Cigar(std::move(ops));
     return res;
 }
+
+} // namespace
 
 AlignResult
 bpmAlign(const seq::Sequence &pattern, const seq::Sequence &text,

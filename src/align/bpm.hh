@@ -44,26 +44,13 @@ AlignResult bpmAlign(const seq::Sequence &pattern, const seq::Sequence &text);
 
 /**
  * Symbol-major Peq table (kDnaSymbols rows of @p stride words; stride may
- * exceed ceil(n/64) for padded SIMD layouts — the tail words stay zero).
+ * exceed ceil(n/64), and the tail words stay zero).
  * When the context carries a PeqMemo the table is memoized across retries
  * on the same pattern/stride; callers with a memo must acquire BEFORE
  * opening their arena frame so the table survives the rewind.
  */
 std::span<const u64> acquirePeq(const seq::Sequence &pattern, size_t stride,
                                 KernelContext &ctx);
-
-/**
- * Shared traceback over a Pv/Mv column history laid out with @p stride
- * words per column (column j at hist[(j-1) * stride]). Used by the scalar
- * kernel and by the SIMD variants, whose padded histories agree with the
- * scalar words on every word the traceback consults — which is what makes
- * the *-avx2 CIGARs bit-identical to their scalar twins.
- */
-AlignResult bpmTracebackFromHistory(const seq::Sequence &pattern,
-                                    const seq::Sequence &text,
-                                    std::span<const u64> hist_pv,
-                                    std::span<const u64> hist_mv,
-                                    size_t stride, KernelContext &ctx);
 
 } // namespace gmx::align
 

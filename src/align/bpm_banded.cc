@@ -15,8 +15,17 @@ namespace {
 
 constexpr i64 kInvalid = std::numeric_limits<i64>::max() / 4;
 
-} // namespace
+/** Per-column band snapshot kept for the traceback. */
+struct BpmBandColumn
+{
+    size_t bf; //!< first band block index
+    i64 vtop;  //!< D[bf*64][j] after processing the column
+};
 
+/**
+ * Traceback over a banded Pv/Mv history: W words per column plus a
+ * BpmBandColumn per column.
+ */
 AlignResult
 bpmBandedTracebackFromHistory(const seq::Sequence &pattern,
                               const seq::Sequence &text, size_t W,
@@ -131,6 +140,8 @@ bpmBandedTracebackFromHistory(const seq::Sequence &pattern,
     res.cigar = Cigar(std::move(ops));
     return res;
 }
+
+} // namespace
 
 AlignResult
 bpmBandedAlign(const seq::Sequence &pattern, const seq::Sequence &text,

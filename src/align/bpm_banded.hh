@@ -24,25 +24,6 @@
 
 namespace gmx::align {
 
-/** Per-column band snapshot kept for the traceback. */
-struct BpmBandColumn
-{
-    size_t bf; //!< first band block index
-    i64 vtop;  //!< D[bf*64][j] after processing the column
-};
-
-/**
- * Shared traceback over a banded Pv/Mv history (W words per column plus a
- * BpmBandColumn per column). The scalar kernel and the AVX2 variant both
- * store histories in this layout and produce bit-identical words, so one
- * traceback serves both — the banded bit-identity contract.
- */
-AlignResult bpmBandedTracebackFromHistory(
-    const seq::Sequence &pattern, const seq::Sequence &text, size_t W,
-    std::span<const u64> hist_pv, std::span<const u64> hist_mv,
-    std::span<const BpmBandColumn> hist_col, i64 distance,
-    KernelContext &ctx);
-
 /**
  * Banded BPM alignment tolerating at most @p k errors.
  *

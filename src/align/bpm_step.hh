@@ -1,13 +1,13 @@
 /**
  * @file
  * The scalar Myers/Hyyrö 64-row block step, shared by the unbanded and
- * banded BPM kernels and by the SIMD backends' partial-granule tails.
+ * banded BPM kernels.
  *
  * Kept in one place because bit-identity across kernels depends on every
  * implementation running exactly this recurrence: the Pv/Mv words encode
  * the column's true vertical deltas, so any evaluation order that chains
- * blocks through hin/hout reproduces the same words — the property the
- * *-avx2 variants' shared-traceback design relies on.
+ * blocks through hin/hout reproduces the same words. The inter-pair
+ * batcher (kernel/simd) runs the same chain per vector lane.
  */
 
 #ifndef GMX_ALIGN_BPM_STEP_HH

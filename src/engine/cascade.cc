@@ -1,11 +1,11 @@
 #include "engine/cascade.hh"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/timer.hh"
-#include "kernel/dispatch.hh"
 #include "kernel/registry.hh"
 #include "kernel/simd/bpm_simd.hh"
 
@@ -54,6 +54,21 @@ answered(CascadeOutcome out, Tier tier, align::AlignResult result)
     return out;
 }
 
+/** Tier 3 — the exact fallback, always answers. */
+CascadeOutcome
+runFullTier(CascadeOutcome out, const seq::SequencePair &pair,
+            const CascadeConfig &cfg, bool want_cigar,
+            const CancelToken &cancel, ScratchArena &arena, PeqMemo &memo)
+{
+    kernel::KernelParams params;
+    params.want_cigar = want_cigar;
+    params.tile = cfg.tile;
+    align::AlignResult r =
+        runTier(out, {Tier::Full, &fullTierKernel(cfg, want_cigar), params},
+                pair, cancel, arena, memo);
+    return answered(std::move(out), Tier::Full, std::move(r));
+}
+
 /**
  * Everything after the filter tier: the ONE banded/full continuation,
  * shared by cascadeAlign (filter ran inline) and
@@ -69,12 +84,10 @@ finishAfterFilter(CascadeOutcome out, const seq::SequencePair &pair,
     if (filtered.found() && !want_cigar)
         return answered(std::move(out), Tier::Filter, filtered);
 
-    const auto &registry = kernel::AlignerRegistry::instance();
-
     // Tier 2 — banded. A filter hit pins the band to the exact distance
     // (guaranteed to succeed); a miss tries growing bands.
     const kernel::AlignerDescriptor &banded =
-        registry.require(kernel::dispatchKernel(cfg.banded_kernel));
+        kernel::AlignerRegistry::instance().require(cfg.banded_kernel);
     kernel::KernelParams band_params;
     band_params.want_cigar = want_cigar;
     band_params.tile = cfg.tile;
@@ -91,18 +104,22 @@ finishAfterFilter(CascadeOutcome out, const seq::SequencePair &pair,
             return answered(std::move(out), Tier::Banded, std::move(r));
     }
 
-    // Tier 3 — the exact fallback, always answers.
-    const kernel::AlignerDescriptor &full =
-        registry.require(kernel::dispatchKernel(cfg.full_kernel));
-    kernel::KernelParams full_params;
-    full_params.want_cigar = want_cigar;
-    full_params.tile = cfg.tile;
-    align::AlignResult r = runTier(out, {Tier::Full, &full, full_params},
-                                   pair, cancel, arena, memo);
-    return answered(std::move(out), Tier::Full, std::move(r));
+    return runFullTier(std::move(out), pair, cfg, want_cigar, cancel, arena,
+                       memo);
 }
 
 } // namespace
+
+const kernel::AlignerDescriptor &
+fullTierKernel(const CascadeConfig &cfg, bool want_cigar)
+{
+    // Only a traceback needs the GMX tiles; for a distance the scalar
+    // Myers kernel runs the same exact recurrence without emulating them.
+    const bool distance_by_bpm =
+        !want_cigar && std::string_view(cfg.full_kernel) == "gmx-full";
+    return kernel::AlignerRegistry::instance().require(
+        distance_by_bpm ? "bpm" : cfg.full_kernel);
+}
 
 CascadeOutcome
 cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
@@ -123,7 +140,7 @@ cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
     // exactly what this route exists to avoid.
     if (lengthClassFor(cfg, n, m) == align::LengthClass::Long) {
         const kernel::AlignerDescriptor &stream =
-            registry.require(kernel::dispatchKernel(cfg.long_kernel));
+            registry.require(cfg.long_kernel);
         kernel::KernelParams sp;
         sp.want_cigar = want_cigar;
         sp.tile = cfg.tile;
@@ -134,19 +151,10 @@ cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
         return answered(std::move(out), Tier::Streamed, std::move(r));
     }
 
-    const kernel::AlignerDescriptor &full =
-        registry.require(kernel::dispatchKernel(cfg.full_kernel));
-    kernel::KernelParams full_params;
-    full_params.want_cigar = want_cigar;
-    full_params.tile = cfg.tile;
-
     // Degenerate pairs skip the heuristics; the full tier handles them.
-    if (!cfg.enabled || n == 0 || m == 0) {
-        align::AlignResult r =
-            runTier(out, {Tier::Full, &full, full_params}, pair, cancel,
-                    arena, memo);
-        return answered(std::move(out), Tier::Full, std::move(r));
-    }
+    if (!cfg.enabled || n == 0 || m == 0)
+        return runFullTier(std::move(out), pair, cfg, want_cigar, cancel,
+                           arena, memo);
 
     // Tier 1 — distance-only filter. When it finds the pair within k,
     // the distance is exact; distance-only requests are done.
@@ -157,8 +165,7 @@ cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
     filter_params.tile = cfg.tile;
     const align::AlignResult filtered =
         runTier(out,
-                {Tier::Filter,
-                 &registry.require(kernel::dispatchKernel(cfg.filter_kernel)),
+                {Tier::Filter, &registry.require(cfg.filter_kernel),
                  filter_params},
                 pair, cancel, arena, memo);
     return finishAfterFilter(std::move(out), pair, cfg, want_cigar, cancel,

@@ -36,6 +36,10 @@
 #include "kernel/context.hh"
 #include "sequence/sequence.hh"
 
+namespace gmx::kernel {
+struct AlignerDescriptor;
+} // namespace gmx::kernel
+
 namespace gmx::engine {
 
 /**
@@ -155,6 +159,16 @@ CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
 CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
                             const CascadeConfig &config, bool want_cigar,
                             const CancelToken &cancel, ScratchArena &arena);
+
+/**
+ * The registry kernel the full tier runs for a request: the configured
+ * full_kernel, except that a distance-only request under the default
+ * "gmx-full" runs scalar "bpm", the same exact Myers recurrence without
+ * the GMX tile emulation. One definition, shared by the cascade, the
+ * engine's admission estimate and its per-kernel length check.
+ */
+const kernel::AlignerDescriptor &fullTierKernel(const CascadeConfig &config,
+                                                bool want_cigar);
 
 /** The effective filter budget the cascade runs with for an n x m pair:
  *  the configured filter_k, or the auto policy when it is 0. One

@@ -84,7 +84,8 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
     // inputs with a typed InvalidInput here instead of blowing the budget
     // gate (or allocating quadratic state) mid-flight.
     if (!options.aligner) {
-        if (Status s = checkRouteLengths(klass, n, mm); !s.ok()) {
+        if (Status s = checkRouteLengths(klass, n, mm, options.want_cigar);
+            !s.ok()) {
             metrics_.invalid.fetch_add(1, std::memory_order_relaxed);
             return readyFuture(std::move(s));
         }
@@ -112,7 +113,7 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
         params.window = config_.cascade.long_window;
         params.overlap = config_.cascade.long_overlap;
         req.estimated_bytes =
-            reg.require(kernel::dispatchKernel(config_.cascade.long_kernel))
+            reg.require(config_.cascade.long_kernel)
                 .scratch_bytes(n, mm, params);
     } else if (!req.aligner) {
         // Worst-case cascade footprint. Tier kernels run back to back on
@@ -125,10 +126,9 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
         kernel::KernelParams params;
         params.want_cigar = req.want_cigar;
         params.tile = config_.cascade.tile;
-        // Estimate against the variant dispatch will actually run, so a
-        // SIMD build's admission matches its real footprint.
+        // Estimate against the kernel the full tier will actually run.
         req.estimated_bytes =
-            reg.require(kernel::dispatchKernel(config_.cascade.full_kernel))
+            fullTierKernel(config_.cascade, req.want_cigar)
                 .scratch_bytes(n, mm, params);
         if (config_.cascade.enabled) {
             kernel::KernelParams fparams;
@@ -137,8 +137,7 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
             fparams.k = cascadeFilterK(config_.cascade, n, mm);
             req.estimated_bytes = std::max(
                 req.estimated_bytes,
-                reg.require(
-                       kernel::dispatchKernel(config_.cascade.filter_kernel))
+                reg.require(config_.cascade.filter_kernel)
                     .scratch_bytes(n, mm, fparams));
         }
     }
@@ -147,27 +146,27 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
 }
 
 Status
-Engine::checkRouteLengths(align::LengthClass klass, size_t n, size_t m) const
+Engine::checkRouteLengths(align::LengthClass klass, size_t n, size_t m,
+                          bool want_cigar) const
 {
     const auto &reg = kernel::AlignerRegistry::instance();
     const CascadeConfig &cc = config_.cascade;
     if (klass == align::LengthClass::Long) {
-        return kernel::checkKernelLength(
-            reg.require(kernel::dispatchKernel(cc.long_kernel)), n, m);
+        return kernel::checkKernelLength(reg.require(cc.long_kernel), n, m);
     }
     // Short class: the full tier can always be reached; the filter and
     // banded tiers only when the cascade is on.
-    if (Status s = kernel::checkKernelLength(
-            reg.require(kernel::dispatchKernel(cc.full_kernel)), n, m);
+    if (Status s = kernel::checkKernelLength(fullTierKernel(cc, want_cigar),
+                                             n, m);
         !s.ok())
         return s;
     if (cc.enabled) {
-        if (Status s = kernel::checkKernelLength(
-                reg.require(kernel::dispatchKernel(cc.filter_kernel)), n, m);
+        if (Status s =
+                kernel::checkKernelLength(reg.require(cc.filter_kernel), n, m);
             !s.ok())
             return s;
-        if (Status s = kernel::checkKernelLength(
-                reg.require(kernel::dispatchKernel(cc.banded_kernel)), n, m);
+        if (Status s =
+                kernel::checkKernelLength(reg.require(cc.banded_kernel), n, m);
             !s.ok())
             return s;
     }
@@ -480,7 +479,7 @@ Engine::filterBatchingActive() const
         // mean the per-request scalar cascade, full stop.
         return !kernel::forceScalar();
       case FilterBatching::Auto:
-        return kernel::batchDispatchEnabled();
+        return kernel::simdDispatchEnabled();
     }
     return false;
 }

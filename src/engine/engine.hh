@@ -75,7 +75,7 @@ enum class Backpressure {
  * throughput — and GMX_FORCE_SCALAR=1 disables every mode.
  */
 enum class FilterBatching {
-    Auto, //!< follow runtime dispatch: pack on real AVX2 hosts only
+    Auto, //!< kernel::simdDispatchEnabled(): pack on real AVX2 hosts only
     On,   //!< pack even on the portable vector backend (tests, benches)
     Off,  //!< always run the per-request scalar cascade
 };
@@ -311,8 +311,8 @@ class Engine
     Served runOne(Request &req, const FilterPrefill *pre);
     /** Per-kernel max_len enforcement over every kernel @p klass's route
      *  can visit; Ok or a typed InvalidInput naming the kernel. */
-    Status checkRouteLengths(align::LengthClass klass, size_t n,
-                             size_t m) const;
+    Status checkRouteLengths(align::LengthClass klass, size_t n, size_t m,
+                             bool want_cigar) const;
     /** Whether this engine lane-packs right now (config + dispatch). */
     bool filterBatchingActive() const;
     /** Whether @p req can ride a packed filter group at all. */

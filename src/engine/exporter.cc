@@ -1,5 +1,6 @@
 #include "engine/exporter.hh"
 
+#include <charconv>
 #include <cstdio>
 
 namespace gmx::engine {
@@ -52,9 +53,8 @@ JsonWriter::quote(std::string_view s)
 std::string
 JsonWriter::formatDouble(double v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return buf;
+    char buf[32]; // the longest shortest-form double is 24 characters
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 namespace openmetrics {

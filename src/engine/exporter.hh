@@ -50,7 +50,8 @@ class JsonWriter
     JsonWriter &string(std::string_view s) { return item(quote(s), true); }
     JsonWriter &number(std::string_view text) { return item(text, true); }
 
-    /** Integers print exactly, doubles as iostream does (`%g`). */
+    /** Integers print exactly, doubles in the shortest form that reads
+     *  back to the same value (std::to_chars). */
     template <class T>
     JsonWriter &
     value(T v)
@@ -147,8 +148,8 @@ struct SlotLabel
  * One row of a layer's field table. A scalar row copies @p live into
  * @p snap, or, with no @p live, the snapshot() argument @p arg. A slot
  * row sets @p label, @p slots and @p live_slots instead; a derived row
- * only @p derived. On /metrics a scalar gauge prints through num(), all
- * other row values as integers.
+ * only @p derived. A derived value prints through num() on /metrics;
+ * every other row value is an integer and prints exactly.
  */
 template <class Live, class Snap, size_t N>
 struct Field
@@ -199,7 +200,7 @@ writeFields(JsonWriter &w, const Table &table, const Snap &snap)
         }
         w.key(f.key);
         if (f.derived) {
-            w.number(openmetrics::num((snap.*f.derived)()));
+            w.value((snap.*f.derived)());
         } else if (f.label) {
             f.label->json_object ? w.beginObject() : w.beginArray();
             for (unsigned i = 0; i < (snap.*f.slots).size(); ++i) {
@@ -229,8 +230,6 @@ writeFields(openmetrics::Writer &w, const Table &table, const Snap &snap)
             for (unsigned i = 0; i < (snap.*f.slots).size(); ++i)
                 w.sample((snap.*f.slots)[i], f.label->name,
                          f.label->value(i));
-        else if (f.type == openmetrics::Type::Gauge)
-            w.sample(static_cast<double>(snap.*f.snap));
         else
             w.sample(snap.*f.snap);
     }

@@ -22,20 +22,6 @@ envForceScalar()
     return cached;
 }
 
-struct TwinPair
-{
-    std::string_view scalar;
-    std::string_view simd;
-};
-
-// Every scalar kernel with a SIMD twin. Both directions resolve through
-// this table so configs may name either variant.
-constexpr TwinPair kTwins[] = {
-    {"bpm", "bpm-avx2"},
-    {"bpm-banded", "bpm-banded-avx2"},
-    {"gmx-full", "gmx-full-avx2"},
-};
-
 } // namespace
 
 bool
@@ -70,22 +56,9 @@ simdDispatchEnabled()
     return simd::builtWithAvx2() && cpuHasAvx2() && !forceScalar();
 }
 
-bool
-batchDispatchEnabled()
-{
-    return simdDispatchEnabled();
-}
-
 std::string_view
 dispatchKernel(std::string_view name)
 {
-    const bool want_simd = simdDispatchEnabled();
-    for (const TwinPair &t : kTwins) {
-        if (name == t.scalar)
-            return want_simd ? t.simd : t.scalar;
-        if (name == t.simd)
-            return want_simd ? t.simd : t.scalar;
-    }
     return name;
 }
 

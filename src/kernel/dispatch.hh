@@ -1,18 +1,16 @@
 /**
  * @file
- * Runtime kernel dispatch: scalar vs SIMD variant selection.
+ * Runtime gate for the one SIMD kernel, the inter-pair batcher.
  *
- * Cascade configs name kernels by their scalar registry names ("bpm",
- * "bpm-banded", "gmx-full"). dispatchKernel() resolves such a name to the
- * fastest registered variant for this machine: the *-avx2 twin when the
+ * The registry holds scalar kernels only. The engine's lane packer runs
+ * the cascade's filter tier for fused distance-only requests through
+ * simd::bpmDistanceBatchLanes when simdDispatchEnabled() says so: the
  * binary carries AVX2 code, the CPU supports it, and GMX_FORCE_SCALAR is
- * not set — the scalar kernel otherwise (including mapping an explicit
- * *-avx2 request back down when SIMD is unavailable or forced off).
- * Because every twin pair shares a bit-identical CIGAR contract, dispatch
- * is invisible to results — only to throughput.
+ * not set. The batcher's distances equal the scalar kernel's, so the
+ * gate is invisible to results — only to throughput.
  *
- * GMX_FORCE_SCALAR: any non-empty value other than "0" pins dispatch to
- * the scalar variants (read once, cached). setForceScalarForTest() is the
+ * GMX_FORCE_SCALAR: any non-empty value other than "0" means "do not
+ * lane-pack" (read once, cached). setForceScalarForTest() is the
  * in-process override for tests that compare both paths.
  */
 
@@ -34,20 +32,18 @@ bool forceScalar();
  *  environment variable. */
 void setForceScalarForTest(int force);
 
-/** True when dispatch prefers the *-avx2 registry variants: compiled-in
- *  AVX2 + runtime CPU support + not forced scalar. */
+/** True when the engine lane-packs distance batches through the
+ *  inter-pair batcher by default (EngineConfig FilterBatching::Auto):
+ *  compiled-in AVX2 + runtime CPU support + not forced scalar. The
+ *  portable vector backend is correct but loses to the scalar kernel, so
+ *  Auto only packs on real AVX2; tests force packing on with
+ *  FilterBatching::On. */
 bool simdDispatchEnabled();
 
-/** True when the engine should lane-pack distance batches through the
- *  inter-pair batcher by default (EngineConfig FilterBatching::Auto).
- *  Same conjunction as simdDispatchEnabled(): the portable vector
- *  backend is correct but loses to the scalar kernel, so Auto only packs
- *  on real AVX2; tests force packing on with FilterBatching::On. */
-bool batchDispatchEnabled();
-
-/** Resolve a configured kernel name to the dispatched variant (see file
- *  comment). Names without a twin pass through unchanged. The returned
- *  view aliases a string literal — always valid. */
+/** Returns @p name unchanged: there are no kernel variants left to pick
+ *  between. Nothing in the library calls it; it stays only because the
+ *  serving benchmark (perfbench/) still resolves names through it, and
+ *  the next change to that benchmark removes it (ROADMAP item 9). */
 std::string_view dispatchKernel(std::string_view name);
 
 } // namespace gmx::kernel

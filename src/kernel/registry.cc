@@ -14,7 +14,6 @@
 #include "gmx/banded.hh"
 #include "gmx/full.hh"
 #include "gmx/windowed.hh"
-#include "kernel/simd/register.hh"
 #include "sequence/alphabet.hh"
 
 namespace gmx::kernel {
@@ -312,7 +311,6 @@ AlignerRegistry::AlignerRegistry()
          runGmxWindowedStream, gmxWindowedStreamScratchBytes,
          /*streaming=*/true, /*max_len=*/0});
     // clang-format on
-    simd::registerSimdAligners(*this);
 }
 
 Status

@@ -1,13 +1,8 @@
 #include "kernel/simd/bpm_simd.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
-#include <vector>
 
 #include "align/bpm.hh"
-#include "align/bpm_banded.hh"
-#include "common/logging.hh"
 #include "kernel/simd/simd.hh"
 #include "sequence/alphabet.hh"
 
@@ -16,508 +11,10 @@ namespace gmx::simd {
 static_assert(kBatchLanes == kLanes,
               "engine-visible lane count must match the vector backend");
 
-namespace {
-
-/** One wide block: 256 consecutive pattern rows of vertical deltas. */
-struct State
-{
-    V pv, mv;
-};
-
-/**
- * The Myers add (eq & pv) + pv as a 256-bit integer. Exploits
- * (eq & pv) being a subset of pv to shorten the carry word to
- * a | (pv & ~sum) — one op fewer on the column's serial chain than the
- * general vAdd256. kActive as in vWideCarryResolveN: lanes above it
- * hold only pad rows and may absorb wrong carries.
- */
-template <int kActive>
-inline V
-wideMyersSum(V eqAndPv, V pv)
-{
-    const V sum = vAdd64(eqAndPv, pv);
-    if constexpr (kActive == 1)
-        return sum;
-    const V cw = vOr(eqAndPv, vAndNot(sum, pv));
-    return vWideCarryResolveN<kActive>(sum, cw);
-}
-
-/**
- * Approximate ALU cost of one granule step: the 17-op Myers kernel on
- * vectors plus the emulated wide add/shift (carry extraction, 4-lane
- * ripple, lane rotation) — roughly 2x the scalar op count per word, for
- * 4x the rows.
- */
-constexpr u64 kGranuleAlu = 34;
-
-/** Shift/update epilogue shared by the scored and chained steps.
- *  Branch-free on hin: edit deltas are near-random, so a branch here
- *  mispredicts on a large fraction of columns. */
-inline void
-stepTail(State &s, V xv, V ph, V mh, int hin)
-{
-    // ~(xv | ph) as ~xv & ph': the negation of xv runs off the critical
-    // chain while ph is still being shifted.
-    const V not_xv = vNot(xv);
-    ph = vShl1Wide(ph, static_cast<u64>(hin > 0));
-    mh = vShl1Wide(mh, static_cast<u64>(hin < 0));
-    s.pv = vOr(mh, vAndNot(ph, not_xv));
-    s.mv = vAnd(ph, xv);
-}
-
-/**
- * One 256-row Myers step (wide-word semantics: the add and shift carry
- * across lanes, so the four lanes behave exactly like four consecutive
- * scalar blocks chained through hin/hout). Returns the horizontal delta
- * leaving the bottom row, read from bit 255 of ph/mh pre-shift — only
- * meaningful when all four lanes are active. kActive as in
- * vWideCarryResolveN.
- */
-template <int kActive>
-inline int
-granuleStep(State &s, V eq, int hin)
-{
-    const V pv = s.pv;
-    const V mv = s.mv;
-    eq = vOr(eq, vLane0(static_cast<u64>(hin < 0)));
-    const V xv = vOr(eq, mv);
-    const V not_pv = vNot(pv);
-    const V xh =
-        vOr(vXor(wideMyersSum<kActive>(vAnd(eq, pv), pv), pv), eq);
-    const V ph = vOr(mv, vAndNot(xh, not_pv));
-    const V mh = vAnd(pv, xh);
-    const int hout = static_cast<int>((vMsbMask(ph) >> 3) & 1u) -
-                     static_cast<int>((vMsbMask(mh) >> 3) & 1u);
-    stepTail(s, xv, ph, mh, hin);
-    return hout;
-}
-
-/**
- * As granuleStep, but returns the score delta of the row marked by
- * @p rmask (bit n-1 of ph/mh pre-shift — Hyyrö's arbitrary-row score
- * tracking), for the granule holding the pattern's last row.
- */
-template <int kActive>
-inline int
-granuleStepScored(State &s, V eq, int hin, V rmask)
-{
-    const V pv = s.pv;
-    const V mv = s.mv;
-    eq = vOr(eq, vLane0(static_cast<u64>(hin < 0)));
-    const V xv = vOr(eq, mv);
-    const V not_pv = vNot(pv);
-    const V xh =
-        vOr(vXor(wideMyersSum<kActive>(vAnd(eq, pv), pv), pv), eq);
-    const V ph = vOr(mv, vAndNot(xh, not_pv));
-    const V mh = vAnd(pv, xh);
-    const int delta = static_cast<int>(vAnyBit(ph, rmask)) -
-                      static_cast<int>(vAnyBit(mh, rmask));
-    stepTail(s, xv, ph, mh, hin);
-    return delta;
-}
-
-/** Register-resident distance column loop for patterns up to 256 bp,
- *  specialized on the number of real 64-row lanes. */
-template <int kActive>
-i64
-distColumnsG1(const seq::Sequence &text, std::span<const u64> peq,
-              size_t stride, V rmask, KernelContext &ctx)
-{
-    State s{vOnes(), vZero()};
-    i64 score = 0;
-    const size_t m = text.size();
-    for (size_t j = 0; j < m; ++j) {
-        ctx.poll();
-        const u8 c = text.code(j);
-        score += granuleStepScored<kActive>(
-            s, vLoad(&peq[size_t{c} * stride]), /*hin=*/1, rmask);
-    }
-    return score;
-}
-
-/** As distColumnsG1, but records the post-column pv/mv pair per column
- *  for the traceback. */
-template <int kActive>
-void
-alignColumnsG1(const seq::Sequence &text, std::span<const u64> peq,
-               size_t stride, std::span<u64> hist_pv, std::span<u64> hist_mv,
-               KernelContext &ctx)
-{
-    State s{vOnes(), vZero()};
-    const size_t m = text.size();
-    for (size_t j = 0; j < m; ++j) {
-        ctx.poll();
-        const u8 c = text.code(j);
-        (void)granuleStep<kActive>(s, vLoad(&peq[size_t{c} * stride]), 1);
-        vStore(&hist_pv[j * stride], s.pv);
-        vStore(&hist_mv[j * stride], s.mv);
-    }
-}
-
-/** Lanes holding real pattern rows when the column fits one granule. */
-inline int
-activeLanes(size_t n)
-{
-    return static_cast<int>((n + 63) / 64);
-}
-
-} // namespace
-
 bool
 builtWithAvx2()
 {
     return compiledWithAvx2();
-}
-
-i64
-bpmDistanceSimd(const seq::Sequence &pattern, const seq::Sequence &text,
-                KernelContext &ctx)
-{
-    const size_t n = pattern.size();
-    const size_t m = text.size();
-    if (n == 0)
-        return static_cast<i64>(m);
-    if (m == 0)
-        return static_cast<i64>(n);
-
-    ctx.beginSetup();
-    const size_t granules = (n + kWideBits - 1) / kWideBits;
-    const size_t stride = kLanes * granules; // words per symbol, padded
-    // Granule-padded peq: full-vector loads never leave the symbol row,
-    // and the pad words stay zero (mismatch-only garbage rows whose
-    // deltas never flow back down). Acquired before the frame when a
-    // memo is present so cascade retries reuse the build.
-    std::optional<ScratchArena::Frame> frame;
-    if (!ctx.peqMemo())
-        frame.emplace(ctx.arena());
-    const std::span<const u64> peq = align::acquirePeq(pattern, stride, ctx);
-    if (!frame)
-        frame.emplace(ctx.arena());
-
-    const V rmask = vOneHot(static_cast<unsigned>((n - 1) & (kWideBits - 1)));
-    i64 score = static_cast<i64>(n);
-    KernelCounts *counts = ctx.countsSink();
-
-    ctx.beginKernel();
-    if (granules == 1) {
-        // Register-resident fast path: the whole column lives in two
-        // vectors for patterns up to 256 bp. Dispatch once on the real
-        // lane count so short patterns skip pad-lane carry terms.
-        switch (activeLanes(n)) {
-        case 1:
-            score += distColumnsG1<1>(text, peq, stride, rmask, ctx);
-            break;
-        case 2:
-            score += distColumnsG1<2>(text, peq, stride, rmask, ctx);
-            break;
-        case 3:
-            score += distColumnsG1<3>(text, peq, stride, rmask, ctx);
-            break;
-        default:
-            score += distColumnsG1<4>(text, peq, stride, rmask, ctx);
-            break;
-        }
-        if (counts) {
-            counts->alu += (kGranuleAlu + 2) * m;
-            counts->loads += m * 3;
-            counts->stores += m * 2;
-        }
-    } else {
-        std::span<u64> pv = ctx.arena().rowsUninit<u64>(stride);
-        std::span<u64> mv = ctx.arena().rowsUninit<u64>(stride);
-        for (size_t g = 0; g < granules; ++g) {
-            vStore(&pv[kLanes * g], vOnes());
-            vStore(&mv[kLanes * g], vZero());
-        }
-        for (size_t j = 0; j < m; ++j) {
-            ctx.poll();
-            const u64 *pe = &peq[size_t{text.code(j)} * stride];
-            int hin = 1;
-            for (size_t g = 0; g < granules; ++g) {
-                State s{vLoad(&pv[kLanes * g]), vLoad(&mv[kLanes * g])};
-                if (g + 1 == granules)
-                    score += granuleStepScored<4>(s, vLoad(&pe[kLanes * g]),
-                                                  hin, rmask);
-                else
-                    hin = granuleStep<4>(s, vLoad(&pe[kLanes * g]), hin);
-                vStore(&pv[kLanes * g], s.pv);
-                vStore(&mv[kLanes * g], s.mv);
-            }
-            if (counts) {
-                counts->alu += (kGranuleAlu + 2) * granules;
-                counts->loads += granules * 3;
-                counts->stores += granules * 2;
-            }
-        }
-    }
-    if (counts)
-        counts->cells += static_cast<u64>(n) * m;
-    ctx.donePhases();
-    return score;
-}
-
-align::AlignResult
-bpmAlignSimd(const seq::Sequence &pattern, const seq::Sequence &text,
-             KernelContext &ctx)
-{
-    using align::AlignResult;
-    using align::Op;
-    const size_t n = pattern.size();
-    const size_t m = text.size();
-    AlignResult res;
-
-    if (n == 0 || m == 0) {
-        res.distance = static_cast<i64>(n + m);
-        res.cigar.push(Op::Deletion, m);
-        res.cigar.push(Op::Insertion, n);
-        res.has_cigar = true;
-        return res;
-    }
-
-    ctx.beginSetup();
-    const size_t granules = (n + kWideBits - 1) / kWideBits;
-    const size_t stride = kLanes * granules;
-    std::optional<ScratchArena::Frame> frame;
-    if (!ctx.peqMemo())
-        frame.emplace(ctx.arena());
-    const std::span<const u64> peq = align::acquirePeq(pattern, stride, ctx);
-    if (!frame)
-        frame.emplace(ctx.arena());
-
-    // Padded column history: stride words per column. The traceback only
-    // consults the first ceil(n/64) words of each column, which are
-    // bit-identical to the scalar kernel's — the pad words are garbage
-    // rows whose carries never propagate downward.
-    std::span<u64> hist_pv = ctx.arena().rowsUninit<u64>(stride * m);
-    std::span<u64> hist_mv = ctx.arena().rowsUninit<u64>(stride * m);
-    KernelCounts *counts = ctx.countsSink();
-
-    ctx.beginKernel();
-    if (granules == 1) {
-        switch (activeLanes(n)) {
-        case 1:
-            alignColumnsG1<1>(text, peq, stride, hist_pv, hist_mv, ctx);
-            break;
-        case 2:
-            alignColumnsG1<2>(text, peq, stride, hist_pv, hist_mv, ctx);
-            break;
-        case 3:
-            alignColumnsG1<3>(text, peq, stride, hist_pv, hist_mv, ctx);
-            break;
-        default:
-            alignColumnsG1<4>(text, peq, stride, hist_pv, hist_mv, ctx);
-            break;
-        }
-        if (counts) {
-            counts->alu += (kGranuleAlu + 2) * m;
-            counts->loads += m * 3;
-            counts->stores += m * 4;
-        }
-    } else {
-        std::span<u64> pv = ctx.arena().rowsUninit<u64>(stride);
-        std::span<u64> mv = ctx.arena().rowsUninit<u64>(stride);
-        for (size_t g = 0; g < granules; ++g) {
-            vStore(&pv[kLanes * g], vOnes());
-            vStore(&mv[kLanes * g], vZero());
-        }
-        for (size_t j = 0; j < m; ++j) {
-            ctx.poll();
-            const u64 *pe = &peq[size_t{text.code(j)} * stride];
-            int hin = 1;
-            for (size_t g = 0; g < granules; ++g) {
-                State s{vLoad(&pv[kLanes * g]), vLoad(&mv[kLanes * g])};
-                hin = granuleStep<4>(s, vLoad(&pe[kLanes * g]), hin);
-                vStore(&pv[kLanes * g], s.pv);
-                vStore(&mv[kLanes * g], s.mv);
-                vStore(&hist_pv[j * stride + kLanes * g], s.pv);
-                vStore(&hist_mv[j * stride + kLanes * g], s.mv);
-            }
-            if (counts) {
-                counts->alu += (kGranuleAlu + 2) * granules;
-                counts->loads += granules * 3;
-                counts->stores += granules * 4;
-            }
-        }
-    }
-    if (counts)
-        counts->cells += static_cast<u64>(n) * m;
-
-    res = align::bpmTracebackFromHistory(pattern, text, hist_pv, hist_mv,
-                                         stride, ctx);
-    ctx.donePhases();
-    return res;
-}
-
-align::AlignResult
-bpmBandedAlignSimd(const seq::Sequence &pattern, const seq::Sequence &text,
-                   i64 k, bool want_cigar, KernelContext &ctx)
-{
-    using align::AlignResult;
-    using align::BpmBandColumn;
-    using align::Op;
-    const size_t n = pattern.size();
-    const size_t m = text.size();
-    AlignResult res;
-
-    if (k < 0)
-        GMX_FATAL("bpmBandedAlignSimd: negative error bound %lld",
-                  static_cast<long long>(k));
-    if (static_cast<i64>(n > m ? n - m : m - n) > k)
-        return res;
-
-    if (n == 0 || m == 0) {
-        res.distance = static_cast<i64>(n + m);
-        if (want_cigar) {
-            res.cigar.push(Op::Deletion, m);
-            res.cigar.push(Op::Insertion, n);
-            res.has_cigar = true;
-        }
-        return res;
-    }
-
-    ctx.beginSetup();
-    std::optional<ScratchArena::Frame> frame;
-    if (!ctx.peqMemo())
-        frame.emplace(ctx.arena());
-    const size_t num_blocks = (n + 63) / 64;
-    // Same unpadded layout and stride as the scalar banded kernel, so the
-    // two twins share one memoized table across cascade tier switches.
-    const std::span<const u64> peq =
-        align::acquirePeq(pattern, num_blocks, ctx);
-    if (!frame)
-        frame.emplace(ctx.arena());
-
-    const size_t want_rows = static_cast<size_t>(2 * k) +
-                             (n > m ? n - m : m - n) + 1;
-    const size_t W = std::min(num_blocks, (want_rows + 63) / 64 + 2);
-
-    // Band state as SoA words so granule loads are contiguous. Full
-    // 4-word loads of peq stay in bounds: bf + w + 3 <= bf_max + W - 1 =
-    // num_blocks - 1, the symbol row's last word.
-    std::span<u64> bpv = ctx.arena().rowsUninit<u64>(W);
-    std::span<u64> bmv = ctx.arena().rowsUninit<u64>(W);
-    for (size_t w = 0; w < W; ++w) {
-        bpv[w] = ~u64{0};
-        bmv[w] = 0;
-    }
-    size_t bf = 0;
-    i64 vtop = 0;
-
-    std::span<u64> hist_pv, hist_mv;
-    std::span<BpmBandColumn> hist_col;
-    if (want_cigar) {
-        hist_pv = ctx.arena().rowsUninit<u64>(W * m);
-        hist_mv = ctx.arena().rowsUninit<u64>(W * m);
-        hist_col = ctx.arena().rowsUninit<BpmBandColumn>(m);
-    }
-
-    const size_t bf_max = num_blocks - W;
-    KernelCounts *counts = ctx.countsSink();
-
-    ctx.beginKernel();
-    for (size_t j = 1; j <= m; ++j) {
-        ctx.poll();
-        // Band placement: identical schedule to the scalar kernel (which
-        // the bit-identity contract depends on).
-        i64 target = (static_cast<i64>(j) - k - 1) / 64;
-        target = std::clamp<i64>(target, 0, static_cast<i64>(bf_max));
-        if (j == m)
-            target = static_cast<i64>(bf_max);
-        while (bf < static_cast<size_t>(target)) {
-            vtop += static_cast<i64>(__builtin_popcountll(bpv[0])) -
-                    static_cast<i64>(__builtin_popcountll(bmv[0]));
-            std::memmove(bpv.data(), bpv.data() + 1,
-                         (W - 1) * sizeof(u64));
-            std::memmove(bmv.data(), bmv.data() + 1,
-                         (W - 1) * sizeof(u64));
-            bpv[W - 1] = ~u64{0};
-            bmv[W - 1] = 0;
-            ++bf;
-            if (counts)
-                counts->alu += 8;
-        }
-
-        const u8 c = text.code(j - 1);
-        const u64 *pe = &peq[size_t{c} * num_blocks];
-        int hin = 1;
-        size_t w = 0;
-        for (; w + kLanes <= W; w += kLanes) {
-            State s{vLoad(&bpv[w]), vLoad(&bmv[w])};
-            hin = granuleStep<4>(s, vLoad(&pe[bf + w]), hin);
-            vStore(&bpv[w], s.pv);
-            vStore(&bmv[w], s.mv);
-        }
-        // Scalar tail for the band's W % 4 trailing blocks.
-        for (; w < W; ++w) {
-            align::BpmBlock blk{bpv[w], bmv[w]};
-            hin = align::bpmBlockStep(blk, pe[bf + w], hin);
-            bpv[w] = blk.pv;
-            bmv[w] = blk.mv;
-        }
-        vtop += 1;
-
-        if (want_cigar) {
-            std::memcpy(&hist_pv[(j - 1) * W], bpv.data(),
-                        W * sizeof(u64));
-            std::memcpy(&hist_mv[(j - 1) * W], bmv.data(),
-                        W * sizeof(u64));
-            hist_col[j - 1] = {bf, vtop};
-        }
-        if (counts) {
-            counts->alu += (kGranuleAlu + 2) * (W / kLanes) +
-                           align::kBpmBlockAlu * (W % kLanes) + 14;
-            counts->loads += W * 3;
-            counts->stores += W * (want_cigar ? 4u : 2u);
-        }
-    }
-    if (counts)
-        counts->cells += static_cast<u64>(W) * 64 * m;
-
-    i64 value = vtop;
-    for (size_t i = bf * 64; i < n; ++i) {
-        const size_t w = (i >> 6) - bf;
-        const u64 bit = u64{1} << (i & 63);
-        if (bpv[w] & bit)
-            ++value;
-        else if (bmv[w] & bit)
-            --value;
-    }
-    if (value > k) {
-        ctx.donePhases();
-        return res;
-    }
-
-    res.distance = value;
-    if (!want_cigar) {
-        ctx.donePhases();
-        return res;
-    }
-
-    res = align::bpmBandedTracebackFromHistory(pattern, text, W, hist_pv,
-                                               hist_mv, hist_col, value,
-                                               ctx);
-    ctx.donePhases();
-    return res;
-}
-
-align::AlignResult
-edlibAlignSimd(const seq::Sequence &pattern, const seq::Sequence &text,
-               bool want_cigar, i64 k0, KernelContext &ctx)
-{
-    // Identical doubling schedule to the scalar edlibAlign: both sides
-    // reach the same final k, hence the same band and identical CIGARs.
-    const i64 limit =
-        static_cast<i64>(std::max(pattern.size(), text.size()));
-    i64 k = std::max<i64>(k0, 1);
-    while (true) {
-        align::AlignResult res =
-            bpmBandedAlignSimd(pattern, text, k, want_cigar, ctx);
-        if (res.found())
-            return res;
-        if (k >= limit)
-            GMX_PANIC("edlibAlignSimd failed with full-width band");
-        k = std::min(limit, k * 2);
-    }
 }
 
 namespace {
@@ -890,24 +387,6 @@ bpmDistanceBatchLanes(std::span<BatchLane> lanes, KernelContext &ctx)
             runScalarLane(lanes[base], ctx);
             ++base;
         }
-    }
-}
-
-void
-bpmDistanceBatch4(std::span<const seq::SequencePair> pairs,
-                  std::span<i64> out, KernelContext &ctx)
-{
-    GMX_ASSERT(out.size() >= pairs.size(), "batch output span too small");
-    std::vector<BatchLane> lanes(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-        lanes[i].pair = &pairs[i];
-        lanes[i].cancel = ctx.cancel();
-    }
-    bpmDistanceBatchLanes(lanes, ctx);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-        if (!lanes[i].status.ok())
-            throw StatusError(lanes[i].status);
-        out[i] = lanes[i].distance;
     }
 }
 

@@ -1,32 +1,22 @@
 /**
  * @file
- * SIMD (256-bit) backends for the Myers bit-parallel kernels.
+ * The inter-pair Myers batcher: the one SIMD kernel.
  *
- * Three entry families, all bit-identical to their scalar twins:
+ * bpmDistanceBatchLanes packs four independent short patterns one per
+ * 64-bit vector lane and runs their edit-distance recurrences side by
+ * side, with NO cross-lane carries. Multi-block patterns chain their
+ * blocks through per-lane hin/hout bit vectors, so the serial chain of a
+ * column is as short as the scalar kernel's and the vector buys four
+ * pairs per column step. Pairs that do not fit a lane fall back to the
+ * scalar bpmDistance. Distances equal the scalar kernel's exactly.
  *
- *  - bpmDistanceSimd / bpmAlignSimd: unbanded multi-word Myers where each
- *    256-bit vector is ONE wide block (4 consecutive 64-row lanes, carries
- *    rippling across lanes), granules chained through scalar hin/hout
- *    exactly like the scalar blocked evaluation. The Pv/Mv words the
- *    traceback consults come out identical to the scalar kernel's, so the
- *    scalar traceback (align::bpmTracebackFromHistory) is reused and the
- *    CIGARs match bit for bit.
- *  - bpmBandedAlignSimd / edlibAlignSimd: the Edlib-style banded kernel
- *    with the band's block column processed in 4-block granules (scalar
- *    tail for W % 4), sharing the scalar banded traceback and k-doubling
- *    schedule.
- *  - bpmDistanceBatch4: inter-pair batching for short reads — four
- *    independent patterns packed one per lane, per-lane recurrences with
- *    NO cross-lane carries. Multi-block patterns chain their blocks
- *    through per-lane hin/hout bit vectors, so unlike the wide-word
- *    kernels there is no emulated 256-bit carry on the serial chain;
- *    this is the throughput-bound formulation that beats the scalar
- *    kernel on short-read distance screens. Pairs that don't fit fall
- *    back to the scalar kernel.
+ * The engine's lane packer is the only serving caller; it runs the
+ * cascade's filter tier for fused distance-only requests through this
+ * entry point when kernel::simdDispatchEnabled() allows it.
  *
  * This translation unit is the only one compiled with -mavx2 (when CMake
- * detects support); callers must consult kernel/dispatch.hh before
- * reaching these entry points on AVX2 builds.
+ * detects support); on other builds it uses the portable 4x64-bit vector
+ * backend of simd.hh, with the same results.
  */
 
 #ifndef GMX_KERNEL_SIMD_BPM_SIMD_HH
@@ -51,21 +41,6 @@ constexpr size_t kBatchMaxPattern = kBatchMaxBlocks * 64;
 /** Pairs per packed group (one per 64-bit vector lane). Mirrored here so
  *  engine-side packers don't need the vector vocabulary header. */
 constexpr size_t kBatchLanes = 4;
-
-i64 bpmDistanceSimd(const seq::Sequence &pattern, const seq::Sequence &text,
-                    KernelContext &ctx);
-
-align::AlignResult bpmAlignSimd(const seq::Sequence &pattern,
-                                const seq::Sequence &text,
-                                KernelContext &ctx);
-
-align::AlignResult bpmBandedAlignSimd(const seq::Sequence &pattern,
-                                      const seq::Sequence &text, i64 k,
-                                      bool want_cigar, KernelContext &ctx);
-
-align::AlignResult edlibAlignSimd(const seq::Sequence &pattern,
-                                  const seq::Sequence &text, bool want_cigar,
-                                  i64 k0, KernelContext &ctx);
 
 /** True when @p pair fits a batch lane (pattern 1..kBatchMaxPattern bp,
  *  text non-empty); everything else takes the scalar fallback. */
@@ -116,17 +91,6 @@ void bpmDistanceBatchLanes(std::span<BatchLane> lanes, KernelContext &ctx);
  * worth. The engine reserves this once per group instead of per lane.
  */
 size_t bpmBatchScratchBytes(size_t max_pattern);
-
-/**
- * Edit distances for @p pairs into @p out (same indexing). Groups of four
- * consecutive pairs whose patterns are 1..kBatchMaxPattern bp (and texts
- * non-empty) run packed one-per-lane; everything else falls back to the
- * scalar bpmDistance. Distances equal the scalar kernel's exactly.
- * Convenience wrapper over bpmDistanceBatchLanes with every lane sharing
- * @p ctx's token and counts sink; throws StatusError if the token stops.
- */
-void bpmDistanceBatch4(std::span<const seq::SequencePair> pairs,
-                       std::span<i64> out, KernelContext &ctx);
 
 } // namespace gmx::simd
 

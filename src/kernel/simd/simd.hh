@@ -7,20 +7,15 @@
  *  - AVX2 (compiled when the TU is built with -mavx2): thin wrappers over
  *    the corresponding intrinsics.
  *  - Portable fallback: the same operations as plain C++ loops over a
- *    4-word struct, so the SIMD kernels compile and stay testable on any
+ *    4-word struct, so the batcher compiles and stays testable on any
  *    architecture. A NEON port is this header again with a third backend
- *    (two 128-bit halves per vector); the kernels never name an ISA.
+ *    (two 128-bit halves per vector); the batcher never names an ISA.
  *
- * Two families of operations are deliberately kept apart, because the
- * Myers recurrence needs both:
- *
- *  - *per-lane* ops (vAdd64, vShl1Lanes, vShrVar): four independent
- *    64-bit recurrences, used by the inter-pair batcher where each lane
- *    is a different short pattern and carries must NOT cross lanes.
- *  - *wide-word* ops (vAdd256, vShl1Wide): the vector as one 256-bit
- *    integer — carries ripple across lanes — used by the multi-word
- *    kernels where the four lanes are four consecutive 64-row blocks of
- *    one pattern.
+ * Every arithmetic op is per lane (vAdd64, vShl1Lanes, vShrVar): the
+ * inter-pair batcher runs four independent 64-bit recurrences, one short
+ * pattern per lane, and carries must NOT cross lanes. The only cross-lane
+ * ops are the unpack/concat shuffles that transpose the per-column match
+ * masks into block-major vectors.
  */
 
 #ifndef GMX_KERNEL_SIMD_SIMD_HH
@@ -37,9 +32,8 @@
 
 namespace gmx::simd {
 
-/** 64-bit lanes per vector; the wide word is kLanes * 64 = 256 bits. */
+/** 64-bit lanes per vector. */
 constexpr size_t kLanes = 4;
-constexpr size_t kWideBits = kLanes * 64;
 
 /** True when this translation unit was compiled against real AVX2. */
 constexpr bool
@@ -61,11 +55,6 @@ vLoad(const u64 *p)
 {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
 }
-inline void
-vStore(u64 *p, V v)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
-}
 inline V
 vZero()
 {
@@ -81,7 +70,7 @@ vSet1(u64 x)
 {
     return _mm256_set1_epi64x(static_cast<long long>(x));
 }
-/** Lanes in memory order: lane 0 is the low 64 bits of the wide word. */
+/** Lanes in memory order: lane 0 is the low 64 bits of the vector. */
 inline V
 vSet(u64 l0, u64 l1, u64 l2, u64 l3)
 {
@@ -109,12 +98,6 @@ inline V
 vNot(V a)
 {
     return _mm256_xor_si256(a, vOnes());
-}
-/** ~a & b in one instruction. */
-inline V
-vAndNot(V a, V b)
-{
-    return _mm256_andnot_si256(a, b);
 }
 inline V
 vAdd64(V a, V b)
@@ -148,32 +131,6 @@ vGt64(V a, V b)
 {
     return _mm256_cmpgt_epi64(a, b);
 }
-/** Per-lane equality: all-ones where a == b. */
-inline V
-vEq64(V a, V b)
-{
-    return _mm256_cmpeq_epi64(a, b);
-}
-/** Bit i of the result = bit 63 of lane i. */
-inline unsigned
-vMsbMask(V a)
-{
-    return static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(a)));
-}
-/** Bit i of the result = 1 iff lane i is all-ones. */
-inline unsigned
-vEqOnesMask(V a)
-{
-    return static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(a, vOnes()))));
-}
-/** True iff (a & mask) has any bit set. */
-inline bool
-vAnyBit(V a, V mask)
-{
-    return _mm256_testz_si256(a, mask) == 0;
-}
 inline u64
 vLane(V a, unsigned lane)
 {
@@ -187,32 +144,6 @@ vLane(V a, unsigned lane)
     default:
         return static_cast<u64>(_mm256_extract_epi64(a, 3));
     }
-}
-/** Bit i of @p bits becomes the value (0/1) of lane i. */
-inline V
-vLaneBits(unsigned bits)
-{
-    return vSet(bits & 1u, (bits >> 1) & 1u, (bits >> 2) & 1u,
-                (bits >> 3) & 1u);
-}
-/** Lanes move one slot up (lane i takes lane i-1); lane 0 becomes 0. */
-inline V
-vLaneShiftUp(V a)
-{
-    const V r = _mm256_permute4x64_epi64(a, _MM_SHUFFLE(2, 1, 0, 0));
-    return _mm256_blend_epi32(r, _mm256_setzero_si256(), 0x03);
-}
-/** Lanes move two slots up (lane i takes lane i-2); lanes 0..1 become 0. */
-inline V
-vLaneShiftUp2(V a)
-{
-    return _mm256_permute2x128_si256(a, a, 0x08);
-}
-/** @p x in lane 0, other lanes 0 (one vmovq, no shuffle). */
-inline V
-vLane0(u64 x)
-{
-    return _mm256_zextsi128_si256(_mm_cvtsi64_si128(static_cast<long long>(x)));
 }
 /** Half-wise 64-bit interleave: [a0,b0,a2,b2] / [a1,b1,a3,b3]. */
 inline V
@@ -251,12 +182,6 @@ vLoad(const u64 *p)
     for (size_t i = 0; i < kLanes; ++i)
         v.l[i] = p[i];
     return v;
-}
-inline void
-vStore(u64 *p, V v)
-{
-    for (size_t i = 0; i < kLanes; ++i)
-        p[i] = v.l[i];
 }
 inline V
 vZero()
@@ -311,14 +236,6 @@ vNot(V a)
     return v;
 }
 inline V
-vAndNot(V a, V b)
-{
-    V v;
-    for (size_t i = 0; i < kLanes; ++i)
-        v.l[i] = ~a.l[i] & b.l[i];
-    return v;
-}
-inline V
 vAdd64(V a, V b)
 {
     V v;
@@ -368,63 +285,10 @@ vGt64(V a, V b)
                      : 0;
     return v;
 }
-inline V
-vEq64(V a, V b)
-{
-    V v;
-    for (size_t i = 0; i < kLanes; ++i)
-        v.l[i] = a.l[i] == b.l[i] ? ~u64{0} : 0;
-    return v;
-}
-inline unsigned
-vMsbMask(V a)
-{
-    unsigned m = 0;
-    for (size_t i = 0; i < kLanes; ++i)
-        m |= static_cast<unsigned>(a.l[i] >> 63) << i;
-    return m;
-}
-inline unsigned
-vEqOnesMask(V a)
-{
-    unsigned m = 0;
-    for (size_t i = 0; i < kLanes; ++i)
-        m |= (a.l[i] == ~u64{0} ? 1u : 0u) << i;
-    return m;
-}
-inline bool
-vAnyBit(V a, V mask)
-{
-    for (size_t i = 0; i < kLanes; ++i)
-        if (a.l[i] & mask.l[i])
-            return true;
-    return false;
-}
 inline u64
 vLane(V a, unsigned lane)
 {
     return a.l[lane & 3u];
-}
-inline V
-vLaneBits(unsigned bits)
-{
-    return vSet(bits & 1u, (bits >> 1) & 1u, (bits >> 2) & 1u,
-                (bits >> 3) & 1u);
-}
-inline V
-vLaneShiftUp(V a)
-{
-    return V{{0, a.l[0], a.l[1], a.l[2]}};
-}
-inline V
-vLaneShiftUp2(V a)
-{
-    return V{{0, 0, a.l[0], a.l[1]}};
-}
-inline V
-vLane0(u64 x)
-{
-    return V{{x, 0, 0, 0}};
 }
 inline V
 vUnpackLo64(V a, V b)
@@ -448,83 +312,6 @@ vConcatHi128(V a, V b)
 }
 
 #endif // backend selection
-
-// ---- composite wide-word operations (shared between backends) -------------
-
-/** Single bit set at wide-word position @p pos (0..kWideBits-1). */
-inline V
-vOneHot(unsigned pos)
-{
-    u64 w[kLanes] = {0, 0, 0, 0};
-    w[(pos >> 6) & 3u] = u64{1} << (pos & 63u);
-    return vSet(w[0], w[1], w[2], w[3]);
-}
-
-/**
- * Carry resolution for a per-lane add that should have been one 256-bit
- * add, entirely in the vector domain (no movemask round trip — this add
- * sits on the serial recurrence of every Myers column, so its latency is
- * the kernel's latency). @p cw is the lane-local carry word (its bit 63
- * is the lane's carry-out); a lane propagates when @p sum is all-ones.
- * The carry entering lane i is
- *   g[i-1] | (p[i-1] & g[i-2]) | (p[i-1] & p[i-2] & g[i-3])
- * written in flat form so every lane permute starts directly from cw or
- * p and they overlap instead of serializing (vShr63Lanes commutes with
- * the permutes, so the g terms shift cw itself).
- *
- * @tparam kActive  Number of low lanes holding real pattern rows.
- * Carries only ever move upward (low lane to high lane), so a lane
- * holding only zero-padded garbage rows can absorb a wrong carry-in
- * without a real lane ever seeing it; dropping its lookahead terms
- * shortens the serial chain that bounds the whole kernel. kActive <= 1
- * needs no inter-lane carry at all, kActive == 2 only the direct
- * g[i-1] term, kActive == 3 adds the single-propagate term, and
- * kActive == 4 is the full 256-bit semantics.
- */
-template <int kActive>
-inline V
-vWideCarryResolveN(V sum, V cw)
-{
-    static_assert(kActive >= 1 && kActive <= 4);
-    if constexpr (kActive == 1)
-        return sum;
-    const V g1 = vShr63Lanes(vLaneShiftUp(cw));
-    if constexpr (kActive == 2)
-        return vAdd64(sum, g1);
-    const V p = vEq64(sum, vOnes()); // mask: lane propagates
-    const V u1p = vLaneShiftUp(p);
-    const V g2 = vShr63Lanes(vLaneShiftUp2(cw));
-    if constexpr (kActive == 3)
-        return vAdd64(sum, vOr(g1, vAnd(u1p, g2)));
-    const V g3 = vShr63Lanes(vLaneShiftUp2(vLaneShiftUp(cw)));
-    const V pp = vAnd(u1p, vLaneShiftUp2(p));
-    const V cin = vOr(vOr(g1, vAnd(u1p, g2)), vAnd(pp, g3));
-    return vAdd64(sum, cin);
-}
-
-inline V
-vWideCarryResolve(V sum, V cw)
-{
-    return vWideCarryResolveN<4>(sum, cw);
-}
-
-inline V
-vAdd256(V a, V b)
-{
-    const V sum = vAdd64(a, b);
-    const V cw = vOr(vAnd(a, b), vAndNot(sum, vOr(a, b)));
-    return vWideCarryResolve(sum, cw);
-}
-
-/** (v << 1) | carry_in as one 256-bit word (bit 63 of lane i feeds lane
- *  i+1; @p carry_in feeds bit 0). Balanced so the lane permute is the
- *  only op deeper than one level. */
-inline V
-vShl1Wide(V v, u64 carry_in)
-{
-    return vOr(vOr(vShl1Lanes(v), vLane0(carry_in)),
-               vLaneShiftUp(vShr63Lanes(v)));
-}
 
 } // namespace gmx::simd
 

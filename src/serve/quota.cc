@@ -30,26 +30,9 @@ QuotaRegistry::admit(const std::string &client_id, double now_s)
     b.last_s = now_s;
     if (b.tokens >= 1.0) {
         b.tokens -= 1.0;
-        ++b.counts.admitted;
         return true;
     }
-    ++b.counts.throttled;
     return false;
-}
-
-std::vector<std::pair<std::string, QuotaRegistry::ClientCounters>>
-QuotaRegistry::snapshot() const
-{
-    std::vector<std::pair<std::string, ClientCounters>> out;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        out.reserve(buckets_.size());
-        for (const auto &[id, bucket] : buckets_)
-            out.emplace_back(id, bucket.counts);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    return out;
 }
 
 } // namespace gmx::serve

@@ -19,10 +19,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "common/types.hh"
 
 namespace gmx::serve {
 
@@ -52,16 +48,6 @@ class QuotaRegistry
      */
     bool admit(const std::string &client_id, double now_s);
 
-    /** Lifetime counters for one client. */
-    struct ClientCounters
-    {
-        u64 admitted = 0;
-        u64 throttled = 0;
-    };
-
-    /** Per-client counters, sorted by client id (stable snapshots). */
-    std::vector<std::pair<std::string, ClientCounters>> snapshot() const;
-
     const QuotaConfig &config() const { return config_; }
 
   private:
@@ -69,11 +55,10 @@ class QuotaRegistry
     {
         double tokens = 0;
         double last_s = 0;
-        ClientCounters counts;
     };
 
     QuotaConfig config_;
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::unordered_map<std::string, Bucket> buckets_;
 };
 

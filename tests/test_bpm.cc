@@ -142,13 +142,18 @@ TEST(Bpm, InterPairBatchMatchesScalarAcrossWidths)
     // Non-multiple-of-four tail exercises the scalar remainder.
     pairs.push_back(gen.pair(70, 0.1));
 
-    std::vector<i64> out(pairs.size(), -999);
-    KernelContext ctx;
-    simd::bpmDistanceBatch4(pairs, out, ctx);
+    std::vector<simd::BatchLane> lanes(pairs.size());
     for (size_t i = 0; i < pairs.size(); ++i)
-        EXPECT_EQ(out[i], bpmDistance(pairs[i].pattern, pairs[i].text))
+        lanes[i].pair = &pairs[i];
+    KernelContext ctx;
+    simd::bpmDistanceBatchLanes(lanes, ctx);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+        ASSERT_TRUE(lanes[i].status.ok()) << "pair " << i;
+        EXPECT_EQ(lanes[i].distance,
+                  bpmDistance(pairs[i].pattern, pairs[i].text))
             << "pair " << i << " n=" << pairs[i].pattern.size()
             << " m=" << pairs[i].text.size();
+    }
 }
 
 TEST(Bpm, CountsAreAccumulated)

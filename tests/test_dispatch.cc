@@ -1,8 +1,8 @@
 /**
  * @file
- * Runtime SIMD dispatch tests: name resolution, the GMX_FORCE_SCALAR
- * test seam, and end-to-end bit-identity of the cascade under dispatched
- * vs forced-scalar kernel selection.
+ * Runtime SIMD gate tests: the GMX_FORCE_SCALAR test seam, the identity
+ * name resolution the serving benchmark still calls, and end-to-end
+ * bit-identity of the cascade under both overrides.
  */
 
 #include <gtest/gtest.h>
@@ -26,52 +26,54 @@ struct ForceScalarGuard
     ~ForceScalarGuard() { setForceScalarForTest(-1); }
 };
 
-TEST(Dispatch, ForcedScalarPinsEveryTwinToItsScalarName)
-{
-    ForceScalarGuard guard(1);
-    EXPECT_FALSE(simdDispatchEnabled());
-    // Scalar names stay, and explicit *-avx2 requests map back down.
-    for (const char *name : {"bpm", "bpm-banded", "gmx-full"})
-        EXPECT_EQ(dispatchKernel(name), std::string_view(name));
-    EXPECT_EQ(dispatchKernel("bpm-avx2"), "bpm");
-    EXPECT_EQ(dispatchKernel("bpm-banded-avx2"), "bpm-banded");
-    EXPECT_EQ(dispatchKernel("gmx-full-avx2"), "gmx-full");
-    // Names without a twin pass through untouched.
-    EXPECT_EQ(dispatchKernel("nw"), "nw");
-    EXPECT_EQ(dispatchKernel("bitap"), "bitap");
-    EXPECT_EQ(dispatchKernel("no-such-kernel"), "no-such-kernel");
-}
-
-TEST(Dispatch, SimdEligibleResolvesTwinsBothWays)
-{
-    ForceScalarGuard guard(0);
-    if (!simdDispatchEnabled())
-        GTEST_SKIP() << "no AVX2 in this build/CPU";
-    // Eligibility implies the variants really are registered.
-    const auto &reg = AlignerRegistry::instance();
-    ASSERT_NE(reg.find("bpm-avx2"), nullptr);
-    EXPECT_EQ(dispatchKernel("bpm"), "bpm-avx2");
-    EXPECT_EQ(dispatchKernel("bpm-banded"), "bpm-banded-avx2");
-    EXPECT_EQ(dispatchKernel("gmx-full"), "gmx-full-avx2");
-    // Explicit SIMD names are honoured as-is.
-    EXPECT_EQ(dispatchKernel("gmx-full-avx2"), "gmx-full-avx2");
-    // Untwinned kernels never get rewritten.
-    EXPECT_EQ(dispatchKernel("hirschberg"), "hirschberg");
-}
-
 TEST(Dispatch, DispatchedNamesAlwaysResolveInRegistry)
 {
-    // Whatever dispatch picks must be runnable — under both overrides.
+    // The registry holds scalar kernels only, so resolution is the
+    // identity under both overrides and never names a missing kernel.
     const auto &reg = AlignerRegistry::instance();
     for (const int force : {0, 1}) {
         ForceScalarGuard guard(force);
-        for (const char *name : {"bpm", "bpm-banded", "gmx-full",
-                                 "bpm-avx2", "gmx-full-avx2"}) {
-            const std::string_view resolved = dispatchKernel(name);
-            EXPECT_NE(reg.find(resolved), nullptr)
-                << name << " -> " << resolved << " force=" << force;
+        for (const AlignerDescriptor &d : reg.all()) {
+            EXPECT_EQ(std::string_view(d.name).find("avx2"),
+                      std::string_view::npos)
+                << d.name;
+            EXPECT_EQ(dispatchKernel(d.name), std::string_view(d.name))
+                << "force=" << force;
         }
     }
+}
+
+TEST(Dispatch, DistanceOnlyFullTierRunsBpmUnderBothOverrides)
+{
+    // A bitap miss with no band doublings goes straight to the full
+    // tier, which answers a distance-only request with scalar "bpm" on
+    // every host: same distance and attempt cells whether or not the
+    // SIMD gate is open, and the same cells as calling "bpm" directly.
+    seq::Generator gen(20261019);
+    const seq::SequencePair pair = gen.pair(300, 0.3);
+    engine::CascadeConfig config;
+    config.band_doublings = 0;
+    EXPECT_STREQ(engine::fullTierKernel(config, false).name, "bpm");
+    EXPECT_STREQ(engine::fullTierKernel(config, true).name, "gmx-full");
+
+    KernelCounts direct;
+    KernelContext ctx(CancelToken{}, &direct);
+    const auto bpm = AlignerRegistry::instance().require("bpm").run(
+        pair, KernelParams{.want_cigar = false}, ctx);
+
+    std::vector<engine::CascadeOutcome> outs;
+    for (const int force : {1, 0}) {
+        ForceScalarGuard guard(force);
+        outs.push_back(engine::cascadeAlign(pair, config, false));
+        const engine::CascadeOutcome &o = outs.back();
+        ASSERT_EQ(o.attempts.size(), 2u) << "force=" << force;
+        EXPECT_EQ(o.attempts[0].tier, engine::Tier::Filter);
+        EXPECT_EQ(o.tier, engine::Tier::Full);
+        EXPECT_TRUE(o.attempts[1].answered);
+        EXPECT_EQ(o.result.distance, bpm.distance) << "force=" << force;
+        EXPECT_EQ(o.attempts[1].cells, direct.cells) << "force=" << force;
+    }
+    EXPECT_EQ(outs[0].counts.cells, outs[1].counts.cells);
 }
 
 TEST(Dispatch, CascadeIsBitIdenticalUnderForcedScalar)

@@ -556,6 +556,47 @@ TEST(Exporter, EmptyEngineStillRendersCompleteFamilies)
               std::string::npos);
 }
 
+TEST(Exporter, IntegerGaugesRenderAsExactIntegers)
+{
+    // Byte gauges past 1e9 must scrape as the integer the engine holds,
+    // not a rounded float: 2^64 - 1 and 2^53 + 1 have no exact double.
+    EngineMetrics m;
+    const MetricsSnapshot snap =
+        m.snapshot(/*pool_workers=*/1, /*pool_executed=*/0,
+                   /*mem_budget_bytes=*/18446744073709551615ull,
+                   /*mem_reserved_bytes=*/9007199254740993ull,
+                   /*mem_reserved_peak=*/1234567891ull);
+    const std::string text = renderOpenMetrics(snap);
+    for (const char *line :
+         {"\ngmx_memory_budget_bytes 18446744073709551615\n",
+          "\ngmx_memory_reserved_bytes 9007199254740993\n",
+          "\ngmx_memory_reserved_peak_bytes 1234567891\n",
+          "\ngmx_pool_workers 1\n"})
+        EXPECT_NE(text.find(line), std::string::npos) << line;
+}
+
+TEST(Exporter, VarsDoublesReadBackExactly)
+{
+    // A cumulative microsecond total must survive /vars digit for digit:
+    // a dashboard differencing two scrapes needs more than six digits.
+    MetricsSnapshot snap;
+    snap.tiers[0].kernel_us = 3160493.9;
+    snap.tiers[0].setup_us = 0.1 + 0.2;
+    snap.latency.sum_us = 123456789012.34567;
+    const std::string json = snap.toJson();
+    EXPECT_NE(json.find("\"kernel_us\":3160493.9,"), std::string::npos)
+        << json;
+    // The first occurrence of @p key at or after @p from, read back.
+    const auto valueAt = [&](const std::string &key, size_t from) {
+        const size_t at = json.find("\"" + key + "\":", from);
+        EXPECT_NE(at, std::string::npos) << key;
+        return std::stod(json.substr(at + key.size() + 3));
+    };
+    EXPECT_EQ(valueAt("setup_us", 0), 0.1 + 0.2);
+    EXPECT_EQ(valueAt("sum", json.find("\"latency_us\":")),
+              123456789012.34567);
+}
+
 // ------------------------------------------------- golden exposition
 //
 // Pinned renders of a hand-built snapshot. Each metric is a row of the
@@ -580,7 +621,7 @@ goldenSummary(u64 seed)
 
 /**
  * A snapshot with a distinct non-zero value in every field; tiers 0 and
- * 2 carry histograms. Large byte counts pin the %.9g gauge rendering.
+ * 2 carry histograms. Large byte counts pin the exact integer gauges.
  */
 MetricsSnapshot
 goldenEngineSnapshot()
@@ -628,30 +669,33 @@ const char *const kGoldenEngineJson =
     R"js("reserved_peak":17,"arena_peak":18},"pool":{"workers":19,)js"
     R"js("executed":20},"tiers":{"filter":{"hits":26,)js"
     R"js("peak_bytes":27000000000,"attempts":28,"cells":29,)js"
-    R"js("work_us":37036.9,"setup_us":0.00378418,"kernel_us":3.16049e+06,)js"
-    R"js("gcups":8.25,"queue_wait_us":{"count":105,"sum":34004.2,)js"
-    R"js("mean":323.85,"p50":136,"p99":1088},"service_us":{"count":108,)js"
-    R"js("sum":35004.4,"mean":324.115,"p50":140,"p99":1120}},)js"
+    R"js("work_us":37036.875,"setup_us":0.0037841796875,)js"
+    R"js("kernel_us":3160494,"gcups":8.25,"queue_wait_us":{"count":105,)js"
+    R"js("sum":34004.25,"mean":323.85,"p50":136,"p99":1088},)js"
+    R"js("service_us":{"count":108,"sum":35004.375,)js"
+    R"js("mean":324.1145833333333,"p50":140,"p99":1120}},)js"
     R"js("banded":{"hits":36,"peak_bytes":37000000000,"attempts":38,)js"
-    R"js("cells":39,"work_us":49382.5,"setup_us":0.00500488,)js"
-    R"js("kernel_us":4.14815e+06,"gcups":10.75,"queue_wait_us":{"count":0,)js"
+    R"js("cells":39,"work_us":49382.5,"setup_us":0.0050048828125,)js"
+    R"js("kernel_us":4148148.375,"gcups":10.75,"queue_wait_us":{"count":0,)js"
     R"js("sum":0,"mean":0,"p50":0,"p99":0},"service_us":{"count":0,"sum":0,)js"
     R"js("mean":0,"p50":0,"p99":0}},"full":{"hits":44,)js"
     R"js("peak_bytes":45000000000,"attempts":46,"cells":47,"work_us":59259,)js"
-    R"js("setup_us":0.00598145,"kernel_us":4.93827e+06,"gcups":12.75,)js"
-    R"js("queue_wait_us":{"count":159,"sum":52006.5,"mean":327.085,)js"
-    R"js("p50":208,"p99":1664},"service_us":{"count":162,"sum":53006.6,)js"
-    R"js("mean":327.201,"p50":212,"p99":1696}},"downgraded":{"hits":54,)js"
-    R"js("peak_bytes":55000000000,"attempts":56,"cells":57,)js"
-    R"js("work_us":71604.6,"setup_us":0.00720215,"kernel_us":5.92593e+06,)js"
-    R"js("gcups":15.25,"queue_wait_us":{"count":0,"sum":0,"mean":0,"p50":0,)js"
-    R"js("p99":0},"service_us":{"count":0,"sum":0,"mean":0,"p50":0,)js"
-    R"js("p99":0}},"streamed":{"hits":62,"peak_bytes":63000000000,)js"
-    R"js("attempts":64,"cells":65,"work_us":81481.1,"setup_us":0.00817871,)js"
-    R"js("kernel_us":6.71605e+06,"gcups":17.25,"queue_wait_us":{"count":0,)js"
+    R"js("setup_us":0.0059814453125,"kernel_us":4938271.875,"gcups":12.75,)js"
+    R"js("queue_wait_us":{"count":159,"sum":52006.5,)js"
+    R"js("mean":327.08490566037733,"p50":208,"p99":1664},)js"
+    R"js("service_us":{"count":162,"sum":53006.625,)js"
+    R"js("mean":327.2013888888889,"p50":212,"p99":1696}},)js"
+    R"js("downgraded":{"hits":54,"peak_bytes":55000000000,"attempts":56,)js"
+    R"js("cells":57,"work_us":71604.625,"setup_us":0.0072021484375,)js"
+    R"js("kernel_us":5925926.25,"gcups":15.25,"queue_wait_us":{"count":0,)js"
+    R"js("sum":0,"mean":0,"p50":0,"p99":0},"service_us":{"count":0,"sum":0,)js"
+    R"js("mean":0,"p50":0,"p99":0}},"streamed":{"hits":62,)js"
+    R"js("peak_bytes":63000000000,"attempts":64,"cells":65,)js"
+    R"js("work_us":81481.125,"setup_us":0.0081787109375,)js"
+    R"js("kernel_us":6716049.75,"gcups":17.25,"queue_wait_us":{"count":0,)js"
     R"js("sum":0,"mean":0,"p50":0,"p99":0},"service_us":{"count":0,"sum":0,)js"
     R"js("mean":0,"p50":0,"p99":0}}},"latency_us":{"count":213,)js"
-    R"js("sum":70008.8,"mean":328.68,"p50":280,"p99":2240,)js"
+    R"js("sum":70008.75,"mean":328.67957746478874,"p50":280,"p99":2240,)js"
     R"js("log2_buckets":[70,0,71,0,0,72]}})js";
 
 const char *const kGoldenEngineOpenMetrics = R"om(
@@ -697,9 +741,9 @@ gmx_queue_peak 8
 # TYPE gmx_pool_workers gauge
 gmx_pool_workers 19
 # TYPE gmx_memory_budget_bytes gauge
-gmx_memory_budget_bytes 4.2949673e+09
+gmx_memory_budget_bytes 4294967296
 # TYPE gmx_memory_reserved_bytes gauge
-gmx_memory_reserved_bytes 1.23456789e+09
+gmx_memory_reserved_bytes 1234567891
 # TYPE gmx_memory_reserved_peak_bytes gauge
 gmx_memory_reserved_peak_bytes 17
 # TYPE gmx_arena_peak_bytes gauge

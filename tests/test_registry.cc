@@ -138,58 +138,6 @@ TEST(Registry, SharedCigarContractsProduceIdenticalCigars)
     }
 }
 
-TEST(Registry, Avx2VariantsMatchScalarTwinBitExactly)
-{
-    // The dispatcher substitutes *-avx2 names for their scalar twins, so
-    // the swap must be invisible: same distances, byte-identical CIGARs,
-    // on implicit and explicit error bounds alike.
-    const auto &reg = AlignerRegistry::instance();
-    struct Twin
-    {
-        const char *scalar;
-        const char *simd;
-    };
-    for (const Twin t : {Twin{"bpm", "bpm-avx2"},
-                         Twin{"bpm-banded", "bpm-banded-avx2"},
-                         Twin{"gmx-full", "gmx-full-avx2"}}) {
-        const AlignerDescriptor *s = reg.find(t.scalar);
-        const AlignerDescriptor *v = reg.find(t.simd);
-        ASSERT_NE(s, nullptr) << t.scalar;
-        if (!v)
-            GTEST_SKIP() << "AVX2 build without AVX2 host; SIMD "
-                            "variants not registered";
-        for (const auto &pair : corpus()) {
-            for (const bool want_cigar : {false, true}) {
-                for (const i64 k : {i64{-1}, i64{8}}) {
-                    if (k >= 0 && !v->banded)
-                        continue;
-                    KernelParams params;
-                    params.want_cigar = want_cigar;
-                    params.k = k;
-                    params.enforce_bound = k >= 0;
-                    KernelContext sctx, vctx;
-                    const auto sres = s->run(pair, params, sctx);
-                    const auto vres = v->run(pair, params, vctx);
-                    ASSERT_EQ(vres.found(), sres.found())
-                        << t.simd << " n=" << pair.pattern.size()
-                        << " m=" << pair.text.size() << " k=" << k;
-                    if (!sres.found())
-                        continue;
-                    EXPECT_EQ(vres.distance, sres.distance)
-                        << t.simd << " n=" << pair.pattern.size()
-                        << " m=" << pair.text.size() << " k=" << k;
-                    ASSERT_EQ(vres.has_cigar, sres.has_cigar) << t.simd;
-                    if (sres.has_cigar) {
-                        EXPECT_EQ(vres.cigar.str(), sres.cigar.str())
-                            << t.simd << " n=" << pair.pattern.size()
-                            << " m=" << pair.text.size() << " k=" << k;
-                    }
-                }
-            }
-        }
-    }
-}
-
 TEST(Registry, ExplicitBandHonoursEnforceBound)
 {
     // Banded kernels with an explicit k and enforce_bound must report

