@@ -120,10 +120,13 @@ echo "== Engine batch pass (lane-packed filter tier, both dispatch modes) =="
 # packing/occupancy, per-lane deadlines, and the head-of-line fusion
 # fix — run with dispatch enabled AND under GMX_FORCE_SCALAR=1 (the
 # packing-sensitive tests skip themselves when packing is off by design;
-# the differential ones must still pass bit-identically).
-ctest --test-dir build --output-on-failure -j"$(nproc)" -R 'EngineBatch'
+# the differential ones must still pass bit-identically). The Cascade
+# and CascadePlan suites ride along, so the route plan and its executor
+# (packed and unpacked filter verdicts) are checked in both modes.
+ctest --test-dir build --output-on-failure -j"$(nproc)" \
+    -R 'EngineBatch|Cascade'
 GMX_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-    -j"$(nproc)" -R 'EngineBatch'
+    -j"$(nproc)" -R 'EngineBatch|Cascade'
 
 echo "== UBSan pass (kernel registry + arena + engine + GMX unit tests) =="
 # The KernelContext refactor routes every kernel's scratch through the

@@ -25,8 +25,10 @@ using PairAligner = std::function<AlignResult(const seq::SequencePair &)>;
  * Admission class of a pair. Short pairs run the exact cascade under
  * the short-class limits; Long pairs run a streaming O(window) kernel,
  * so the length-sensitive short limits (max_pair_bases, skew) do not
- * apply to them — only the long class's own cap does. The router
- * (engine::lengthClassFor) decides the class; validation honours it.
+ * apply to them — only the long class's own cap does. The engine's
+ * route plan (engine::planRoute) decides the class, and the serve front
+ * door classifies with the engines' cascade config the same way;
+ * validation honours it.
  */
 enum class LengthClass {
     Short,

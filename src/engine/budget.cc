@@ -1,7 +1,5 @@
 #include "engine/budget.hh"
 
-#include <algorithm>
-
 #include "common/atomic.hh"
 
 namespace gmx::engine {
@@ -25,21 +23,6 @@ fullGmxTracebackBytes(size_t n, size_t m, unsigned tile)
     // buffer of the traceback (one byte per op, at most n + m ops).
     return tilesAcross(n, tile) * tilesAcross(m, tile) * kTileEdgeBytes +
            (n + m);
-}
-
-size_t
-distanceOnlyBytes(size_t n, size_t m, unsigned tile)
-{
-    // Full(GMX) distance keeps one tile-row of right edges; the banded
-    // tier keeps two band rows. Both are O(longer-side / T) edges.
-    const size_t rows = 3 * tilesAcross(std::max(n, m), tile) * kTileEdgeBytes;
-    // The cascade's Bitap filter dominates for large pairs: two column
-    // sets of (k+1) vectors of ceil(n/64) words, sized with the same
-    // cascadeAutoFilterK the routing will use (budget.hh holds the one
-    // shared closed form, skew term included).
-    const size_t k = static_cast<size_t>(cascadeAutoFilterK(n, m)) + 1;
-    const size_t filter = 2 * k * ((n + 63) / 64) * sizeof(u64);
-    return rows + filter;
 }
 
 size_t

@@ -34,10 +34,9 @@ inline constexpr size_t kTileEdgeBytes = 32;
  * max(8, longer/16, skew + 4). The skew term guarantees the Bitap filter
  * can ever reach the opposite corner (|n-m| edits are unavoidable).
  *
- * Defined here, next to the footprint estimators, because the
- * distance-only estimate sizes the filter's (k+1) state vectors from the
- * same k the cascade will actually run with — one closed form, shared by
- * admission and routing, so the two cannot drift.
+ * Defined here, next to the footprint estimators: admission sizes the
+ * filter's (k+1) state vectors from the same k the cascade runs with,
+ * because planRoute puts that k in the filter tier's parameters.
  */
 inline i64
 cascadeAutoFilterK(size_t n, size_t m)
@@ -49,9 +48,6 @@ cascadeAutoFilterK(size_t n, size_t m)
 
 /** Full(GMX) traceback footprint: the whole tile-edge matrix plus ops. */
 size_t fullGmxTracebackBytes(size_t n, size_t m, unsigned tile);
-
-/** Distance-only cascade footprint: one tile-row of edges per tier. */
-size_t distanceOnlyBytes(size_t n, size_t m, unsigned tile);
 
 /** Hirschberg traceback footprint: a few DP rows plus the ops buffer. */
 size_t hirschbergBytes(size_t n, size_t m);

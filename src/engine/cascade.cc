@@ -6,28 +6,15 @@
 
 #include "common/logging.hh"
 #include "common/timer.hh"
-#include "kernel/registry.hh"
 #include "kernel/simd/bpm_simd.hh"
 
 namespace gmx::engine {
 
 namespace {
 
-/**
- * One planned kernel invocation. The cascade policy (what to try next,
- * when an answer is final) stays here; everything kernel-specific lives
- * behind the registry descriptor.
- */
-struct TierPlan
-{
-    Tier tier;
-    const kernel::AlignerDescriptor *desc;
-    kernel::KernelParams params;
-};
-
 /** Run one planned invocation and charge it to the outcome's work log. */
 align::AlignResult
-runTier(CascadeOutcome &out, const TierPlan &plan,
+runTier(CascadeOutcome &out, const PlannedTier &plan,
         const seq::SequencePair &pair, const CancelToken &cancel,
         ScratchArena &arena, PeqMemo &memo)
 {
@@ -54,60 +41,6 @@ answered(CascadeOutcome out, Tier tier, align::AlignResult result)
     return out;
 }
 
-/** Tier 3 — the exact fallback, always answers. */
-CascadeOutcome
-runFullTier(CascadeOutcome out, const seq::SequencePair &pair,
-            const CascadeConfig &cfg, bool want_cigar,
-            const CancelToken &cancel, ScratchArena &arena, PeqMemo &memo)
-{
-    kernel::KernelParams params;
-    params.want_cigar = want_cigar;
-    params.tile = cfg.tile;
-    align::AlignResult r =
-        runTier(out, {Tier::Full, &fullTierKernel(cfg, want_cigar), params},
-                pair, cancel, arena, memo);
-    return answered(std::move(out), Tier::Full, std::move(r));
-}
-
-/**
- * Everything after the filter tier: the ONE banded/full continuation,
- * shared by cascadeAlign (filter ran inline) and
- * cascadeContinueAfterFilter (filter ran in a packed batch), so the two
- * paths cannot drift. @p out already carries the filter attempt.
- */
-CascadeOutcome
-finishAfterFilter(CascadeOutcome out, const seq::SequencePair &pair,
-                  const CascadeConfig &cfg, bool want_cigar,
-                  const CancelToken &cancel, ScratchArena &arena,
-                  PeqMemo &memo, const align::AlignResult &filtered, i64 k)
-{
-    if (filtered.found() && !want_cigar)
-        return answered(std::move(out), Tier::Filter, filtered);
-
-    // Tier 2 — banded. A filter hit pins the band to the exact distance
-    // (guaranteed to succeed); a miss tries growing bands.
-    const kernel::AlignerDescriptor &banded =
-        kernel::AlignerRegistry::instance().require(cfg.banded_kernel);
-    kernel::KernelParams band_params;
-    band_params.want_cigar = want_cigar;
-    band_params.tile = cfg.tile;
-    band_params.enforce_bound = true;
-    const int band_attempts = filtered.found() ? 1 : cfg.band_doublings;
-    i64 band = filtered.found() ? std::max<i64>(filtered.distance, 1)
-                                : 2 * k;
-    for (int attempt = 0; attempt < band_attempts; ++attempt, band *= 2) {
-        band_params.k = band;
-        align::AlignResult r =
-            runTier(out, {Tier::Banded, &banded, band_params}, pair, cancel,
-                    arena, memo);
-        if (r.found())
-            return answered(std::move(out), Tier::Banded, std::move(r));
-    }
-
-    return runFullTier(std::move(out), pair, cfg, want_cigar, cancel, arena,
-                       memo);
-}
-
 } // namespace
 
 const kernel::AlignerDescriptor &
@@ -121,55 +54,156 @@ fullTierKernel(const CascadeConfig &cfg, bool want_cigar)
         distance_by_bpm ? "bpm" : cfg.full_kernel);
 }
 
-CascadeOutcome
-cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
-             bool want_cigar, const CancelToken &cancel, ScratchArena &arena)
+RoutePlan
+planRoute(const CascadeConfig &cfg, size_t n, size_t m, bool want_cigar)
 {
     const auto &registry = kernel::AlignerRegistry::instance();
-    const size_t n = pair.pattern.size();
-    const size_t m = pair.text.size();
-    CascadeOutcome out;
-    // One Peq memo for the whole cascade: every bit-parallel tier retry on
-    // this pattern (band doublings, tier escalation) reuses the first
-    // attempt's match-mask table instead of rebuilding it.
-    PeqMemo memo;
+    RoutePlan plan;
+    plan.klass = lengthClassFor(cfg, n, m);
+    plan.want_cigar = want_cigar;
+    auto add = [&](Tier tier, const kernel::AlignerDescriptor &desc,
+                   const kernel::KernelParams &params) {
+        plan.tiers[plan.tier_count++] = {tier, &desc, params};
+    };
+    kernel::KernelParams base;
+    base.want_cigar = want_cigar;
+    base.tile = cfg.tile;
 
     // Long length class: the streaming windowed tier answers alone, in
     // O(window) memory. No filter or band attempt precedes it — the
     // short-class tiers all materialize O(n) state or worse, which is
-    // exactly what this route exists to avoid.
-    if (lengthClassFor(cfg, n, m) == align::LengthClass::Long) {
-        const kernel::AlignerDescriptor &stream =
-            registry.require(cfg.long_kernel);
-        kernel::KernelParams sp;
-        sp.want_cigar = want_cigar;
-        sp.tile = cfg.tile;
+    // exactly what this route exists to avoid. Its footprint is the
+    // window geometry's, not the pair's, so a 1 Mbp pair reserves the
+    // same bytes as a 100 kbp one.
+    if (plan.klass == align::LengthClass::Long) {
+        kernel::KernelParams sp = base;
         sp.window = cfg.long_window;
         sp.overlap = cfg.long_overlap;
-        align::AlignResult r = runTier(out, {Tier::Streamed, &stream, sp},
-                                       pair, cancel, arena, memo);
-        return answered(std::move(out), Tier::Streamed, std::move(r));
+        add(Tier::Streamed, registry.require(cfg.long_kernel), sp);
+        plan.admission_bytes = plan.tiers[0].desc->scratch_bytes(n, m, sp);
+        return plan;
     }
 
     // Degenerate pairs skip the heuristics; the full tier handles them.
-    if (!cfg.enabled || n == 0 || m == 0)
-        return runFullTier(std::move(out), pair, cfg, want_cigar, cancel,
-                           arena, memo);
+    const bool filtered = cfg.enabled && n > 0 && m > 0;
+    if (filtered) {
+        const i64 k = cascadeFilterK(cfg, n, m);
+        kernel::KernelParams fp = base;
+        fp.want_cigar = false;
+        fp.k = k;
+        add(Tier::Filter, registry.require(cfg.filter_kernel), fp);
+        kernel::KernelParams bp = base;
+        bp.enforce_bound = true;
+        bp.k = 2 * k;
+        add(Tier::Banded, registry.require(cfg.banded_kernel), bp);
+        plan.band_doublings = cfg.band_doublings;
+    }
+    add(Tier::Full, fullTierKernel(cfg, want_cigar), base);
 
-    // Tier 1 — distance-only filter. When it finds the pair within k,
-    // the distance is exact; distance-only requests are done.
-    const i64 k = cascadeFilterK(cfg, n, m);
-    kernel::KernelParams filter_params;
-    filter_params.want_cigar = false;
-    filter_params.k = k;
-    filter_params.tile = cfg.tile;
-    const align::AlignResult filtered =
-        runTier(out,
-                {Tier::Filter, &registry.require(cfg.filter_kernel),
-                 filter_params},
-                pair, cancel, arena, memo);
-    return finishAfterFilter(std::move(out), pair, cfg, want_cigar, cancel,
-                             arena, memo, filtered, k);
+    // Admission: tier kernels run back to back on one arena and each
+    // rewinds its frame, so the request's peak is the larger of the full
+    // tier (traceback requests pay the whole edge matrix) and the filter
+    // at its k. The banded tier's band is only fixed at run time; its
+    // scratch stays under that maximum (CascadePlan tests pin it).
+    for (const PlannedTier &t : plan.route())
+        if (t.tier != Tier::Banded)
+            plan.admission_bytes =
+                std::max(plan.admission_bytes,
+                         t.desc->scratch_bytes(n, m, t.params));
+
+    if (want_cigar) {
+        plan.downgrade = {Tier::Downgraded, &registry.require("hirschberg"),
+                          {}};
+        plan.downgrade_bytes =
+            plan.downgrade.desc->scratch_bytes(n, m, plan.downgrade.params);
+    }
+    // The batch kernel reproduces the "bitap" filter's found-iff-d<=k
+    // contract bit for bit; a CIGAR request's filter never answers, so
+    // packing it would buy nothing.
+    plan.packable = filtered && !want_cigar &&
+                    std::string_view(cfg.filter_kernel) == "bitap" &&
+                    simd::batchLaneFits(n, m);
+    return plan;
+}
+
+CascadeOutcome
+runPlan(const RoutePlan &plan, const seq::SequencePair &pair,
+        const CancelToken &cancel, ScratchArena &arena,
+        const FilterLane *packed)
+{
+    GMX_ASSERT(packed == nullptr || plan.packable,
+               "runPlan: a packed verdict needs a packable plan");
+    CascadeOutcome out;
+    // One Peq memo for the whole cascade: every bit-parallel tier retry on
+    // this pattern (band doublings, tier escalation) reuses the first
+    // attempt's match-mask table instead of rebuilding it. A packed
+    // filter built its masks in lane layout, so the later tiers then
+    // rebuild theirs as they would after a scalar bitap filter.
+    PeqMemo memo;
+    align::AlignResult filtered; // not found until a filter tier finds it
+    for (const PlannedTier &t : plan.route()) {
+        switch (t.tier) {
+          case Tier::Filter:
+            if (packed != nullptr) {
+                out.counts = packed->counts;
+                out.attempts.push_back(packed->attempt);
+                filtered = packed->filtered;
+            } else {
+                filtered = runTier(out, t, pair, cancel, arena, memo);
+            }
+            // A hit's distance is exact; distance-only requests are done.
+            if (filtered.found() && !plan.want_cigar)
+                return answered(std::move(out), Tier::Filter,
+                                std::move(filtered));
+            break;
+          case Tier::Banded: {
+            // A filter hit pins the band to the exact distance (guaranteed
+            // to succeed); a miss tries growing bands.
+            PlannedTier band = t;
+            int tries = plan.band_doublings;
+            if (filtered.found()) {
+                band.params.k = std::max<i64>(filtered.distance, 1);
+                tries = 1;
+            }
+            for (int i = 0; i < tries; ++i, band.params.k *= 2) {
+                align::AlignResult r =
+                    runTier(out, band, pair, cancel, arena, memo);
+                if (r.found())
+                    return answered(std::move(out), Tier::Banded,
+                                    std::move(r));
+            }
+            break;
+          }
+          default: {
+            // Full or Streamed: always answers.
+            align::AlignResult r = runTier(out, t, pair, cancel, arena, memo);
+            return answered(std::move(out), t.tier, std::move(r));
+          }
+        }
+    }
+    GMX_FATAL("runPlan: the route ended without an answering tier");
+}
+
+CascadeOutcome
+runDowngrade(const RoutePlan &plan, const seq::SequencePair &pair,
+             const CancelToken &cancel, ScratchArena &arena)
+{
+    GMX_ASSERT(plan.downgrade.desc != nullptr,
+               "runDowngrade: the plan has no downgrade tier");
+    CascadeOutcome out;
+    PeqMemo memo;
+    align::AlignResult r =
+        runTier(out, plan.downgrade, pair, cancel, arena, memo);
+    return answered(std::move(out), Tier::Downgraded, std::move(r));
+}
+
+CascadeOutcome
+cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
+             bool want_cigar, const CancelToken &cancel, ScratchArena &arena)
+{
+    return runPlan(
+        planRoute(cfg, pair.pattern.size(), pair.text.size(), want_cigar),
+        pair, cancel, arena);
 }
 
 CascadeOutcome
@@ -182,15 +216,14 @@ cascadeAlign(const seq::SequencePair &pair, const CascadeConfig &cfg,
 }
 
 void
-cascadeFilterBatch(std::span<FilterLane> lanes, const CascadeConfig &cfg,
-                   ScratchArena &arena)
+cascadeFilterBatch(std::span<FilterLane *const> lanes, ScratchArena &arena)
 {
     GMX_ASSERT(lanes.size() >= 1 && lanes.size() <= simd::kBatchLanes,
                "cascadeFilterBatch: 1..4 lanes per group");
     simd::BatchLane bl[simd::kBatchLanes];
     for (size_t i = 0; i < lanes.size(); ++i) {
-        bl[i].pair = lanes[i].pair;
-        bl[i].cancel = lanes[i].cancel;
+        bl[i].pair = lanes[i]->pair;
+        bl[i].cancel = lanes[i]->cancel;
     }
     KernelContext ctx(CancelToken{}, nullptr, &arena);
     Timer timer;
@@ -204,41 +237,18 @@ cascadeFilterBatch(std::span<FilterLane> lanes, const CascadeConfig &cfg,
     const double setup_us = static_cast<double>(phases.setup_us) * share;
     const double kernel_us = static_cast<double>(phases.kernel_us) * share;
     for (size_t i = 0; i < lanes.size(); ++i) {
-        FilterLane &lane = lanes[i];
+        FilterLane &lane = *lanes[i];
         lane.status = bl[i].status;
         lane.counts = bl[i].counts;
-        if (lane.status.ok()) {
-            const i64 k = cascadeFilterK(cfg, lane.pair->pattern.size(),
-                                         lane.pair->text.size());
-            // The scalar filter's contract: found with the exact distance
-            // iff d <= k. The batch kernel knows the exact distance even
-            // past k, but reporting it would diverge the continuation
-            // from the scalar cascade — a miss stays a miss.
-            if (bl[i].distance <= k)
-                lane.filtered.distance = bl[i].distance;
-        }
+        // The scalar filter's contract: found with the exact distance iff
+        // d <= k. The batch kernel knows the exact distance even past k,
+        // but reporting it would diverge the continuation from the scalar
+        // cascade — a miss stays a miss.
+        if (lane.status.ok() && bl[i].distance <= lane.k)
+            lane.filtered.distance = bl[i].distance;
         lane.attempt = {Tier::Filter, lane.counts.cells, micros, false,
                         setup_us, kernel_us};
     }
-}
-
-CascadeOutcome
-cascadeContinueAfterFilter(const seq::SequencePair &pair,
-                           const CascadeConfig &cfg, bool want_cigar,
-                           const CancelToken &cancel, ScratchArena &arena,
-                           const FilterLane &lane)
-{
-    CascadeOutcome out;
-    out.counts = lane.counts;
-    out.attempts.push_back(lane.attempt);
-    // Fresh memo: the filter batch built its masks in lane-packed layout,
-    // so the banded/full tiers rebuild theirs exactly as the scalar
-    // cascade's later tiers would after a bitap filter.
-    PeqMemo memo;
-    const i64 k = cascadeFilterK(cfg, pair.pattern.size(),
-                                 pair.text.size());
-    return finishAfterFilter(std::move(out), pair, cfg, want_cigar, cancel,
-                             arena, memo, lane.filtered, k);
 }
 
 } // namespace gmx::engine

@@ -11,20 +11,29 @@
  *   2. Banded(GMX) — the Edlib-style band of tiles. Exact whenever the
  *      optimal path stays inside the band; the band either comes from the
  *      filter (known distance => guaranteed hit) or grows by doubling.
- *   3. Full(GMX) — the whole DP-matrix; always exact, the fallback when
- *      the pair diverges too much for any band the budget allows.
+ *   3. Full — the whole DP-matrix; always exact, the fallback when the
+ *      pair diverges too much for any band the budget allows. A
+ *      traceback runs Full(GMX); a distance-only request runs scalar
+ *      "bpm", the same exact recurrence without the tile emulation
+ *      (fullTierKernel).
  *
  * Every tier is exact when it answers (Bitap and Banded(GMX) both report
  * the true edit distance whenever they report success), so the cascade
  * returns bit-identical distances — and, because Banded(GMX) and
  * Full(GMX) share the same tile traceback with the same tie-breaking,
  * identical CIGARs — to running Full(GMX) on every pair.
+ *
+ * planRoute() makes every routing decision for one request once: length
+ * class, tier list with kernel parameters, the memory downgrade, lane
+ * packability and admission bytes. The engine stores the plan on the
+ * request; runPlan() and runDowngrade() execute it.
  */
 
 #ifndef GMX_ENGINE_CASCADE_HH
 #define GMX_ENGINE_CASCADE_HH
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <vector>
 
@@ -34,11 +43,8 @@
 #include "engine/budget.hh" // cascadeAutoFilterK: shared with admission
 #include "engine/metrics.hh"
 #include "kernel/context.hh"
+#include "kernel/registry.hh"
 #include "sequence/sequence.hh"
-
-namespace gmx::kernel {
-struct AlignerDescriptor;
-} // namespace gmx::kernel
 
 namespace gmx::engine {
 
@@ -89,7 +95,9 @@ struct CascadeConfig
 };
 
 /** Which route an (n, m) pair takes under @p config. Degenerate pairs
- *  stay Short: the full tier handles them without window machinery. */
+ *  stay Short: the full tier handles them without window machinery.
+ *  planRoute is the engine's one caller; the serve front door classifies
+ *  with it too, so both validate a pair as the same class. */
 inline align::LengthClass
 lengthClassFor(const CascadeConfig &config, size_t n, size_t m)
 {
@@ -138,24 +146,135 @@ struct CascadeOutcome
 };
 
 /**
- * Align @p pair through the cascade. With @p want_cigar the result carries
- * a full traceback (so tier 1 can only pre-filter, never answer); without
- * it the result is distance-only and may finish at any tier.
+ * One planned kernel invocation: the tier it counts toward, the registry
+ * kernel that runs it and its base parameters. The banded tier's k is
+ * the band of its first doubling (twice the filter's k); a filter hit
+ * replaces it with the exact distance at run time.
+ */
+struct PlannedTier
+{
+    Tier tier = Tier::Full;
+    const kernel::AlignerDescriptor *desc = nullptr;
+    kernel::KernelParams params;
+};
+
+/**
+ * Every routing decision for one request, made once by planRoute. A
+ * fixed-size value with no heap allocation, so it rides on the engine's
+ * queued request as is.
+ */
+struct RoutePlan
+{
+    static constexpr size_t kMaxTiers = 3; //!< filter, banded, full
+
+    align::LengthClass klass = align::LengthClass::Short;
+    bool want_cigar = true;
+
+    /** Tiers in execution order; the last one always answers. */
+    std::array<PlannedTier, kMaxTiers> tiers{};
+    size_t tier_count = 0;
+
+    /** Banded attempts (band doubling each time) after a filter miss. */
+    int band_doublings = 0;
+
+    /**
+     * The memory-frugal traceback the engine runs when the budget cannot
+     * admit admission_bytes: "hirschberg", planned for short-class CIGAR
+     * requests only (desc is null otherwise). A long-class request never
+     * downgrades: its streamed tier is already the frugal option.
+     */
+    PlannedTier downgrade{};
+    size_t downgrade_bytes = 0;
+
+    /**
+     * The request may ride a packed filter group (cascadeFilterBatch):
+     * distance-only, short class, cascade on with the "bitap" filter
+     * and a pair that fits a batch lane. The tier list then starts with
+     * the filter.
+     */
+    bool packable = false;
+
+    /** Bytes the memory budget reserves for the request. */
+    size_t admission_bytes = 0;
+
+    std::span<const PlannedTier> route() const
+    {
+        return {tiers.data(), tier_count};
+    }
+};
+
+/** Plan an n x m request under @p config (see RoutePlan). */
+RoutePlan planRoute(const CascadeConfig &config, size_t n, size_t m,
+                    bool want_cigar);
+
+/**
+ * One request's slot in a batched filter-tier run. The engine's lane
+ * packer fills pair/cancel/k, cascadeFilterBatch() fills the outputs:
+ * the filter verdict exactly as the scalar filter tier would have
+ * produced it (found with the exact distance iff distance <= k,
+ * not-found otherwise — the batch kernel's exact distance on a miss is
+ * discarded so runPlan continues attempt for attempt as the scalar
+ * cascade would), plus the per-lane work record to seed the request's
+ * outcome with. A lane whose pair is null never ran in a group.
+ */
+struct FilterLane
+{
+    const seq::SequencePair *pair = nullptr;
+    CancelToken cancel{};
+    i64 k = 0; //!< the filter tier's budget from the request's plan
+
+    // Outputs.
+    Status status{};              //!< Cancelled / DeadlineExceeded
+    align::AlignResult filtered;  //!< scalar-identical filter verdict
+    CascadeAttempt attempt;       //!< this lane's Filter-tier attempt
+    KernelCounts counts;          //!< this lane's own kernel work
+    u64 reserved_share = 0; //!< the lane's share of the group's budget grant
+};
+
+/**
+ * Run the cascade's filter tier for up to four requests as one packed
+ * kernel invocation (simd::bpmDistanceBatchLanes), producing per-lane
+ * verdicts bit-identical to the scalar "bitap" filter: both compute the
+ * exact distance and apply the same d <= k decision, so a packed request
+ * continues through banded/full exactly as if it had run alone. Every
+ * lane must come from a packable plan.
+ */
+void cascadeFilterBatch(std::span<FilterLane *const> lanes,
+                        ScratchArena &arena);
+
+/**
+ * Execute @p plan for @p pair: each tier in order until one answers
+ * (filter hit + no cigar -> done; hit + cigar -> one banded attempt at
+ * the exact distance; miss -> band doublings, then the full tier). With
+ * @p packed, the filter tier already ran in a packed group and its lane
+ * verdict, attempt and counts stand in for it.
  *
- * @p cancel is threaded into the banded and full tiers, whose inner loops
- * poll it every K tiles; a cancelled or expired request unwinds with
- * StatusError instead of running its tier to completion.
+ * Scratch comes from @p arena (not reset here: the owner resets once per
+ * request and reads peakBytes() afterwards). @p cancel is threaded into
+ * every kernel, whose loops poll it; a cancelled or expired request
+ * unwinds with StatusError.
+ */
+CascadeOutcome runPlan(const RoutePlan &plan, const seq::SequencePair &pair,
+                       const CancelToken &cancel, ScratchArena &arena,
+                       const FilterLane *packed = nullptr);
+
+/** Run @p plan's downgrade tier alone (the engine's memory fallback). */
+CascadeOutcome runDowngrade(const RoutePlan &plan,
+                            const seq::SequencePair &pair,
+                            const CancelToken &cancel, ScratchArena &arena);
+
+/**
+ * Align @p pair through the cascade: planRoute plus runPlan. With
+ * @p want_cigar the result carries a full traceback (so tier 1 can only
+ * pre-filter, never answer); without it the result is distance-only and
+ * may finish at any tier. Uses a thread-local arena, so standalone
+ * callers still skip per-call heap traffic after warmup.
  */
 CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
                             const CascadeConfig &config, bool want_cigar,
                             const CancelToken &cancel = {});
 
-/**
- * Same, drawing every tier's scratch from @p arena (not reset here: the
- * owner resets once per request and reads peakBytes() afterwards). The
- * four-argument overload uses a thread-local arena, so standalone
- * callers still skip per-call heap traffic after warmup.
- */
+/** Same, drawing every tier's scratch from @p arena (see runPlan). */
 CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
                             const CascadeConfig &config, bool want_cigar,
                             const CancelToken &cancel, ScratchArena &arena);
@@ -164,70 +283,19 @@ CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
  * The registry kernel the full tier runs for a request: the configured
  * full_kernel, except that a distance-only request under the default
  * "gmx-full" runs scalar "bpm", the same exact Myers recurrence without
- * the GMX tile emulation. One definition, shared by the cascade, the
- * engine's admission estimate and its per-kernel length check.
+ * the GMX tile emulation.
  */
 const kernel::AlignerDescriptor &fullTierKernel(const CascadeConfig &config,
                                                 bool want_cigar);
 
 /** The effective filter budget the cascade runs with for an n x m pair:
- *  the configured filter_k, or the auto policy when it is 0. One
- *  definition, shared by routing, admission, and the engine's lane
- *  packer (a packed group's hit/miss decisions must use the same k the
- *  scalar cascade would have). */
+ *  the configured filter_k, or the auto policy when it is 0. */
 inline i64
 cascadeFilterK(const CascadeConfig &config, size_t n, size_t m)
 {
     return config.filter_k > 0 ? config.filter_k
                                : cascadeAutoFilterK(n, m);
 }
-
-/**
- * One request's slot in a batched filter-tier run. The engine's lane
- * packer fills pair/cancel, cascadeFilterBatch() fills the outputs: the
- * filter verdict exactly as the scalar filter tier would have produced
- * it (found with the exact distance iff distance <= k, not-found
- * otherwise — the batch kernel's exact distance on a miss is discarded
- * so the continuation mirrors the scalar cascade attempt for attempt),
- * plus the per-lane work record to seed the request's outcome with.
- */
-struct FilterLane
-{
-    const seq::SequencePair *pair = nullptr;
-    CancelToken cancel{};
-
-    // Outputs.
-    Status status{};              //!< Cancelled / DeadlineExceeded
-    align::AlignResult filtered;  //!< scalar-identical filter verdict
-    CascadeAttempt attempt;       //!< this lane's Filter-tier attempt
-    KernelCounts counts;          //!< this lane's own kernel work
-};
-
-/**
- * Run the cascade's filter tier for up to four requests as one packed
- * kernel invocation (simd::bpmDistanceBatchLanes), producing per-lane
- * verdicts bit-identical to the scalar "bitap" filter: both compute the
- * exact distance and apply the same d <= k decision, so a packed request
- * continues through banded/full exactly as if it had run alone. Requires
- * every lane to satisfy simd::batchLaneFits and the config's filter
- * kernel to be the default "bitap" (the engine's packer checks both).
- */
-void cascadeFilterBatch(std::span<FilterLane> lanes,
-                        const CascadeConfig &config, ScratchArena &arena);
-
-/**
- * Resume one request's cascade after its filter tier ran in a batch:
- * seeds the outcome with the lane's filter attempt/counts, then runs the
- * unchanged banded/full continuation (filter hit + no cigar -> done; hit
- * + cigar -> pinned band; miss -> band doublings then full). Requires a
- * non-degenerate pair (the packer never batches empty sequences).
- */
-CascadeOutcome cascadeContinueAfterFilter(const seq::SequencePair &pair,
-                                          const CascadeConfig &config,
-                                          bool want_cigar,
-                                          const CancelToken &cancel,
-                                          ScratchArena &arena,
-                                          const FilterLane &lane);
 
 } // namespace gmx::engine
 

@@ -4,12 +4,9 @@
 #include <array>
 #include <new>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
-#include "align/hirschberg.hh"
 #include "common/logging.hh"
-#include "common/timer.hh"
 #include "engine/faults.hh"
 #include "kernel/dispatch.hh"
 #include "kernel/registry.hh"
@@ -64,113 +61,42 @@ Engine::submit(seq::SequencePair pair, SubmitOptions options)
 {
     const size_t n = pair.pattern.size();
     const size_t mm = pair.text.size();
-    // Length-class routing decision, made once at the submit boundary and
-    // carried on the request: custom aligners always count as Short (the
-    // cascade router never sees them), everything else follows the
-    // cascade's long_threshold.
-    const align::LengthClass klass =
-        options.aligner ? align::LengthClass::Short
-                        : lengthClassFor(config_.cascade, n, mm);
+    Request req;
+    // Every routing decision, made once at the submit boundary and
+    // carried on the request. Custom aligners keep the empty Short plan
+    // (the cascade router never sees them).
+    if (!options.aligner)
+        req.plan = planRoute(config_.cascade, n, mm, options.want_cigar);
 
     // Validation runs on the submitter's thread, before the queue: a
     // malformed pair never costs a queue slot or a worker.
-    if (Status s = align::validatePair(pair, config_.limits, klass);
+    if (Status s = align::validatePair(pair, config_.limits, req.plan.klass);
         !s.ok()) {
         metrics_.invalid.fetch_add(1, std::memory_order_relaxed);
         return readyFuture(std::move(s));
     }
-    // Per-kernel length caps: every kernel this request's route can visit
-    // must accept the pair, so a non-streaming kernel rejects Mbp-scale
-    // inputs with a typed InvalidInput here instead of blowing the budget
-    // gate (or allocating quadratic state) mid-flight.
-    if (!options.aligner) {
-        if (Status s = checkRouteLengths(klass, n, mm, options.want_cigar);
-            !s.ok()) {
+    // Per-kernel length caps: every kernel the plan can visit must accept
+    // the pair, so a non-streaming kernel rejects Mbp-scale inputs with a
+    // typed InvalidInput here instead of blowing the budget gate (or
+    // allocating quadratic state) mid-flight. Checked from the full tier
+    // back, so the kernel every route reaches is the one named.
+    const auto route = req.plan.route();
+    for (auto t = route.rbegin(); t != route.rend(); ++t) {
+        if (Status s = kernel::checkKernelLength(*t->desc, n, mm); !s.ok()) {
             metrics_.invalid.fetch_add(1, std::memory_order_relaxed);
             return readyFuture(std::move(s));
         }
     }
 
-    Request req;
-    req.klass = klass;
     req.bases = n + mm;
-    req.want_cigar = options.want_cigar;
     req.aligner = std::move(options.aligner);
     req.cancel = options.timeout.count() > 0
                      ? options.cancel.withTimeout(options.timeout)
                      : options.cancel;
-    if (options.estimated_bytes != 0) {
-        req.estimated_bytes = options.estimated_bytes;
-    } else if (!req.aligner && klass == align::LengthClass::Long) {
-        // The streamed tier's footprint is the window geometry's, not the
-        // pair's: the estimator ignores n and m, so a 1 Mbp pair reserves
-        // the same O(window) bytes as a 100 kbp one. This is what lets a
-        // default budget admit long-class traffic at all.
-        const auto &reg = kernel::AlignerRegistry::instance();
-        kernel::KernelParams params;
-        params.want_cigar = req.want_cigar;
-        params.tile = config_.cascade.tile;
-        params.window = config_.cascade.long_window;
-        params.overlap = config_.cascade.long_overlap;
-        req.estimated_bytes =
-            reg.require(config_.cascade.long_kernel)
-                .scratch_bytes(n, mm, params);
-    } else if (!req.aligner) {
-        // Worst-case cascade footprint. Tier kernels run back to back on
-        // one arena and each rewinds its frame, so the request's peak is
-        // the max over the tiers it can visit: the full-DP escalation
-        // target (traceback requests pay the full edge matrix) and the
-        // distance-only filter at the k the routing will pick. Custom
-        // aligners are exempt unless declared.
-        const auto &reg = kernel::AlignerRegistry::instance();
-        kernel::KernelParams params;
-        params.want_cigar = req.want_cigar;
-        params.tile = config_.cascade.tile;
-        // Estimate against the kernel the full tier will actually run.
-        req.estimated_bytes =
-            fullTierKernel(config_.cascade, req.want_cigar)
-                .scratch_bytes(n, mm, params);
-        if (config_.cascade.enabled) {
-            kernel::KernelParams fparams;
-            fparams.want_cigar = false;
-            fparams.tile = config_.cascade.tile;
-            fparams.k = cascadeFilterK(config_.cascade, n, mm);
-            req.estimated_bytes = std::max(
-                req.estimated_bytes,
-                reg.require(config_.cascade.filter_kernel)
-                    .scratch_bytes(n, mm, fparams));
-        }
-    }
+    if (options.estimated_bytes != 0)
+        req.plan.admission_bytes = options.estimated_bytes;
     req.pair = std::move(pair);
     return enqueue(std::move(req));
-}
-
-Status
-Engine::checkRouteLengths(align::LengthClass klass, size_t n, size_t m,
-                          bool want_cigar) const
-{
-    const auto &reg = kernel::AlignerRegistry::instance();
-    const CascadeConfig &cc = config_.cascade;
-    if (klass == align::LengthClass::Long) {
-        return kernel::checkKernelLength(reg.require(cc.long_kernel), n, m);
-    }
-    // Short class: the full tier can always be reached; the filter and
-    // banded tiers only when the cascade is on.
-    if (Status s = kernel::checkKernelLength(fullTierKernel(cc, want_cigar),
-                                             n, m);
-        !s.ok())
-        return s;
-    if (cc.enabled) {
-        if (Status s =
-                kernel::checkKernelLength(reg.require(cc.filter_kernel), n, m);
-            !s.ok())
-            return s;
-        if (Status s =
-                kernel::checkKernelLength(reg.require(cc.banded_kernel), n, m);
-            !s.ok())
-            return s;
-    }
-    return Status();
 }
 
 std::future<Engine::AlignOutcome>
@@ -321,16 +247,17 @@ workerArena()
 } // namespace
 
 Engine::Served
-Engine::runOne(Request &req, const FilterPrefill *pre)
+Engine::runOne(Request &req, const FilterLane &lane)
 {
     const bool traced = trace_.sampled(req.id);
-    const bool prefilled = pre != nullptr && pre->ran;
+    const bool packed = lane.pair != nullptr;
+    const RoutePlan &plan = req.plan;
 
     // A lane the packer ran whose deadline expired (or token fired)
     // while fused siblings shared the kernel: fast-fail with the lane's
     // own status instead of re-running anything.
-    if (prefilled && !pre->status.ok())
-        return Served(AlignOutcome(pre->status));
+    if (packed && !lane.status.ok())
+        return Served(AlignOutcome(lane.status));
 
     // Fast-fail before any work: an expired or cancelled request costs
     // microseconds here instead of a quadratic kernel run.
@@ -346,28 +273,18 @@ Engine::runOne(Request &req, const FilterPrefill *pre)
     // eligibility): its scratch was covered by the group's single
     // reservation, so reserving the per-request estimate here again
     // would double-count the fused batch against the budget.
-    const bool prefilter_hit = prefilled && pre->filtered.found();
+    const bool packed_hit = packed && lane.filtered.found();
 
     // Memory-budget admission. The reservation is held for the whole
     // kernel call and released by RAII whichever way we leave.
     MemoryReservation reservation;
     bool downgrade = false;
-    if (!prefilter_hit && budget_.enabled() && req.estimated_bytes > 0) {
-        if (budget_.tryReserve(req.estimated_bytes)) {
-            reservation = MemoryReservation(&budget_, req.estimated_bytes);
-        } else if (config_.downgrade_under_pressure && !req.aligner &&
-                   req.want_cigar &&
-                   req.klass == align::LengthClass::Short) {
-            // Long-class requests never downgrade: Hirschberg is O(m)
-            // memory and O(n*m) time, both ruinous at Mbp scale, and
-            // the streamed tier's O(window) reservation is already the
-            // frugal option.
-            const size_t frugal =
-                kernel::AlignerRegistry::instance()
-                    .require("hirschberg")
-                    .scratch_bytes(req.pair.pattern.size(),
-                                   req.pair.text.size(), {});
-            if (!budget_.tryReserve(frugal)) {
+    if (!packed_hit && budget_.enabled() && plan.admission_bytes > 0) {
+        if (budget_.tryReserve(plan.admission_bytes)) {
+            reservation = MemoryReservation(&budget_, plan.admission_bytes);
+        } else if (config_.downgrade_under_pressure &&
+                   plan.downgrade.desc != nullptr) {
+            if (!budget_.tryReserve(plan.downgrade_bytes)) {
                 if (traced)
                     trace_.record(req.id, TraceEvent::Admission,
                                   trace_.nowUs(),
@@ -376,7 +293,7 @@ Engine::runOne(Request &req, const FilterPrefill *pre)
                     "memory budget exhausted (even for downgraded "
                     "traceback)")));
             }
-            reservation = MemoryReservation(&budget_, frugal);
+            reservation = MemoryReservation(&budget_, plan.downgrade_bytes);
             downgrade = true;
         } else {
             if (traced)
@@ -390,8 +307,7 @@ Engine::runOne(Request &req, const FilterPrefill *pre)
     if (traced)
         trace_.record(req.id, TraceEvent::Admission, admitted_us,
                       StatusCode::Ok,
-                      prefilter_hit ? pre->reserved_share
-                                    : reservation.bytes());
+                      packed_hit ? lane.reserved_share : reservation.bytes());
 
     try {
         if (GMX_INJECT_FAULT(faults::Point::AllocFail))
@@ -401,7 +317,7 @@ Engine::runOne(Request &req, const FilterPrefill *pre)
         align::AlignResult result;
         Served served(AlignOutcome(align::AlignResult{}));
         served.reserved_bytes =
-            prefilter_hit ? pre->reserved_share : reservation.bytes();
+            packed_hit ? lane.reserved_share : reservation.bytes();
         served.admitted_us = admitted_us;
         // Reset keeps the block (coalesced to the high-water mark), not
         // the contents.
@@ -409,40 +325,13 @@ Engine::runOne(Request &req, const FilterPrefill *pre)
         arena.reset();
         if (req.aligner) {
             result = req.aligner(req.pair);
-        } else if (downgrade) {
-            KernelCounts counts;
-            KernelContext ctx(req.cancel, &counts, &arena);
-            Timer timer;
-            result = align::hirschbergAlign(req.pair.pattern, req.pair.text,
-                                            ctx);
-            const KernelContext::Phases phases = ctx.takePhases();
-            served.tiered = true;
-            served.tier = Tier::Downgraded;
-            served.cells = counts.cells;
-            served.attempts.push_back(
-                {Tier::Downgraded, counts.cells, timer.seconds() * 1e6,
-                 true, static_cast<double>(phases.setup_us),
-                 static_cast<double>(phases.kernel_us)});
-            metrics_.downgraded.fetch_add(1, std::memory_order_relaxed);
         } else {
-            CascadeOutcome outcome;
-            if (prefilled) {
-                // The filter tier already ran in a packed group; seed
-                // the outcome with this lane's attempt and continue
-                // through the unchanged banded/full tiers (a hit with
-                // no cigar wanted returns immediately).
-                FilterLane lane;
-                lane.pair = &req.pair;
-                lane.filtered = pre->filtered;
-                lane.attempt = pre->attempt;
-                lane.counts = pre->counts;
-                outcome = cascadeContinueAfterFilter(
-                    req.pair, config_.cascade, req.want_cigar, req.cancel,
-                    arena, lane);
-            } else {
-                outcome = cascadeAlign(req.pair, config_.cascade,
-                                       req.want_cigar, req.cancel, arena);
-            }
+            CascadeOutcome outcome =
+                downgrade ? runDowngrade(plan, req.pair, req.cancel, arena)
+                          : runPlan(plan, req.pair, req.cancel, arena,
+                                    packed ? &lane : nullptr);
+            if (downgrade)
+                metrics_.downgraded.fetch_add(1, std::memory_order_relaxed);
             served.tiered = true;
             served.tier = outcome.tier;
             served.cells = outcome.counts.cells;
@@ -484,32 +373,14 @@ Engine::filterBatchingActive() const
     return false;
 }
 
-bool
-Engine::batchFilterEligible(const Request &req) const
-{
-    // Lane compatibility rules (DESIGN.md §4k): cascade-routed,
-    // distance-only (a cigar request's filter never answers, so packing
-    // buys nothing and the memo-reuse path is better), pattern within
-    // the batcher's width cap, and the default "bitap" filter kernel —
-    // the one whose found-iff-d<=k contract the batch kernel reproduces
-    // bit for bit. The effective k policy is engine-wide config, so
-    // packed lanes are k-compatible by construction (each lane still
-    // applies its own pair-derived k to the exact distance).
-    return !req.aligner && !req.want_cigar &&
-           req.klass == align::LengthClass::Short &&
-           config_.cascade.enabled &&
-           std::string_view(config_.cascade.filter_kernel) == "bitap" &&
-           simd::batchLaneFits(req.pair);
-}
-
 void
 Engine::runFilterGroups(std::vector<Request> &batch,
-                        std::vector<FilterPrefill> &pre)
+                        std::vector<FilterLane> &lanes)
 {
     std::vector<size_t> eligible;
     eligible.reserve(batch.size());
     for (size_t i = 0; i < batch.size(); ++i)
-        if (batchFilterEligible(batch[i]))
+        if (batch[i].plan.packable)
             eligible.push_back(i);
 
     ScratchArena &arena = workerArena();
@@ -519,7 +390,7 @@ Engine::runFilterGroups(std::vector<Request> &batch,
         // The runOne deadline pre-check, extended into the packer: a
         // request whose deadline expired while earlier groups (or the
         // queue) ran must not occupy a lane — runOne fast-fails it from
-        // its unengaged prefill slot instead.
+        // its unengaged lane slot instead.
         std::array<size_t, simd::kBatchLanes> live{};
         size_t cnt = 0;
         for (size_t j = 0; j < take; ++j) {
@@ -548,24 +419,20 @@ Engine::runFilterGroups(std::vector<Request> &batch,
         }
 
         arena.reset();
-        std::array<FilterLane, simd::kBatchLanes> lanes{};
+        std::array<FilterLane *, simd::kBatchLanes> group{};
         for (size_t j = 0; j < cnt; ++j) {
-            lanes[j].pair = &batch[live[j]].pair;
-            lanes[j].cancel = batch[live[j]].cancel;
+            Request &req = batch[live[j]];
+            FilterLane &lane = lanes[live[j]];
+            lane.pair = &req.pair;
+            lane.cancel = req.cancel;
+            // A packable plan starts with the filter tier.
+            lane.k = req.plan.tiers[0].params.k;
+            lane.reserved_share = group_grant.bytes() / cnt;
+            group[j] = &lane;
         }
-        cascadeFilterBatch({lanes.data(), cnt}, config_.cascade, arena);
+        cascadeFilterBatch({group.data(), cnt}, arena);
         metrics_.recordFilterBatch(cnt);
         metrics_.noteArenaPeak(arena.peakBytes());
-
-        for (size_t j = 0; j < cnt; ++j) {
-            FilterPrefill &p = pre[live[j]];
-            p.ran = true;
-            p.status = lanes[j].status;
-            p.filtered = lanes[j].filtered;
-            p.attempt = lanes[j].attempt;
-            p.counts = lanes[j].counts;
-            p.reserved_share = group_grant.bytes() / cnt;
-        }
         // group_grant releases here: misses re-enter the normal
         // per-request admission for their banded/full continuation.
     }
@@ -586,15 +453,15 @@ Engine::runRequests(std::vector<Request> batch)
 
     // Lane-pack compatible fused requests and run their filter tiers as
     // packed groups before the per-request loop.
-    std::vector<FilterPrefill> pre(batch.size());
+    std::vector<FilterLane> lanes(batch.size());
     if (batch.size() >= 2 && filterBatchingActive())
-        runFilterGroups(batch, pre);
+        runFilterGroups(batch, lanes);
 
     for (size_t i = 0; i < batch.size(); ++i) {
         Request &req = batch[i];
         const bool traced = trace_.sampled(req.id);
 
-        Served served = runOne(req, &pre[i]);
+        Served served = runOne(req, lanes[i]);
 
         const Clock::time_point done = Clock::now();
         const double queue_wait_s =

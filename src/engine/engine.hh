@@ -249,14 +249,13 @@ class Engine
     {
         seq::SequencePair pair;
         align::PairAligner aligner; //!< empty => cascade routing
-        bool want_cigar = true;
-        /** Routing decision made at submit: Long requests run the
-         *  streamed tier and are exempt from short-class machinery
-         *  (micro-batch lane packing, Hirschberg downgrade). */
-        align::LengthClass klass = align::LengthClass::Short;
+        /** Routing decided once at submit (planRoute). A custom aligner
+         *  keeps the empty Short plan: no tiers, no downgrade, never
+         *  packed. admission_bytes holds a caller-declared footprint
+         *  when SubmitOptions::estimated_bytes is set. */
+        RoutePlan plan;
         u64 id = 0;       //!< monotonic request id (tracing & slow log)
         size_t bases = 0; //!< pattern + text length, for micro-batching
-        size_t estimated_bytes = 0; //!< footprint for the budget gate
         CancelToken cancel;         //!< user token + deadline, if any
         Clock::time_point enqueued;
         Clock::time_point dispatched; //!< worker pickup (service start)
@@ -283,44 +282,21 @@ class Engine
         explicit Served(AlignOutcome o) : outcome(std::move(o)) {}
     };
 
-    /**
-     * What the lane packer already did for one fused request before its
-     * runOne turn: the filter tier ran inside a packed group, producing
-     * either a lane failure (deadline/cancel while siblings ran) or the
-     * scalar-identical filter verdict plus the lane's own attempt record
-     * and work counts to seed the cascade continuation with.
-     */
-    struct FilterPrefill
-    {
-        bool ran = false; //!< filter tier already ran in a packed group
-        Status status{};  //!< lane failure (Cancelled/DeadlineExceeded)
-        align::AlignResult filtered;
-        CascadeAttempt attempt;
-        KernelCounts counts;
-        u64 reserved_share = 0; //!< this lane's share of the group grant
-    };
-
     std::future<AlignOutcome> enqueue(Request req);
     /** One worker: pop the head plus its small-request run, serve it,
      *  repeat; returns once stopping and the queue is drained. */
     void workerLoop();
     void runRequests(std::vector<Request> batch);
-    /** Admission + kernel for one request; never throws. @p pre carries
+    /** Admission + kernel for one request; never throws. @p lane holds
      *  the lane packer's filter-tier result when the request rode in a
-     *  packed group (null/un-ran otherwise). */
-    Served runOne(Request &req, const FilterPrefill *pre);
-    /** Per-kernel max_len enforcement over every kernel @p klass's route
-     *  can visit; Ok or a typed InvalidInput naming the kernel. */
-    Status checkRouteLengths(align::LengthClass klass, size_t n, size_t m,
-                             bool want_cigar) const;
+     *  packed group (its pair is null otherwise). */
+    Served runOne(Request &req, const FilterLane &lane);
     /** Whether this engine lane-packs right now (config + dispatch). */
     bool filterBatchingActive() const;
-    /** Whether @p req can ride a packed filter group at all. */
-    bool batchFilterEligible(const Request &req) const;
-    /** Pack eligible requests of @p batch into lane groups, run their
-     *  filter tiers batched, and record the results into @p pre. */
+    /** Pack the packable requests of @p batch into lane groups, run their
+     *  filter tiers batched, and record the results into @p lanes. */
     void runFilterGroups(std::vector<Request> &batch,
-                         std::vector<FilterPrefill> &pre);
+                         std::vector<FilterLane> &lanes);
     bool isSmall(const Request &req) const
     {
         return req.bases <= config_.microbatch_bases;

@@ -97,14 +97,16 @@ struct AlignerDescriptor
  */
 Status checkKernelLength(const AlignerDescriptor &d, size_t n, size_t m);
 
-/** Process-wide kernel table. Built-ins register on first use. */
+/**
+ * Process-wide kernel table. Built-ins register on first use and the
+ * table never changes afterwards, so a descriptor pointer stays valid
+ * for the life of the process (engine route plans hold them while a
+ * request is queued).
+ */
 class AlignerRegistry
 {
   public:
     static AlignerRegistry &instance();
-
-    /** Register @p d; name must be unique (FatalError otherwise). */
-    void add(const AlignerDescriptor &d);
 
     /** Descriptor by name, or nullptr. */
     const AlignerDescriptor *find(std::string_view name) const;
@@ -119,6 +121,8 @@ class AlignerRegistry
 
   private:
     AlignerRegistry();
+    /** Register @p d; name must be unique (FatalError otherwise). */
+    void add(const AlignerDescriptor &d);
     std::vector<AlignerDescriptor> table_;
 };
 

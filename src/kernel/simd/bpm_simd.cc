@@ -354,10 +354,10 @@ runGroup4(BatchLane *lanes, KernelContext &ctx)
 } // namespace
 
 bool
-batchLaneFits(const seq::SequencePair &pair)
+batchLaneFits(size_t pattern_len, size_t text_len)
 {
-    return pair.pattern.size() >= 1 &&
-           pair.pattern.size() <= kBatchMaxPattern && pair.text.size() > 0;
+    return pattern_len >= 1 && pattern_len <= kBatchMaxPattern &&
+           text_len > 0;
 }
 
 size_t
@@ -379,7 +379,8 @@ bpmDistanceBatchLanes(std::span<BatchLane> lanes, KernelContext &ctx)
     while (base < lanes.size()) {
         bool quad = base + kLanes <= lanes.size();
         for (size_t l = 0; quad && l < kLanes; ++l)
-            quad = batchLaneFits(*lanes[base + l].pair);
+            quad = batchLaneFits(lanes[base + l].pair->pattern.size(),
+                                 lanes[base + l].pair->text.size());
         if (quad) {
             runGroup4(&lanes[base], ctx);
             base += kLanes;

@@ -42,9 +42,10 @@ constexpr size_t kBatchMaxPattern = kBatchMaxBlocks * 64;
  *  engine-side packers don't need the vector vocabulary header. */
 constexpr size_t kBatchLanes = 4;
 
-/** True when @p pair fits a batch lane (pattern 1..kBatchMaxPattern bp,
- *  text non-empty); everything else takes the scalar fallback. */
-bool batchLaneFits(const seq::SequencePair &pair);
+/** True when a pattern_len x text_len pair fits a batch lane (pattern
+ *  1..kBatchMaxPattern bp, text non-empty); everything else takes the
+ *  scalar fallback. */
+bool batchLaneFits(size_t pattern_len, size_t text_len);
 
 /**
  * One request's slot in a packed distance batch: the inputs it brings

@@ -3,7 +3,9 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <string_view>
 
+#include "common/logging.hh"
 #include "engine/faults.hh"
 
 namespace gmx::serve {
@@ -92,6 +94,22 @@ AlignServer::AlignServer(std::vector<engine::Engine *> engines,
         config_.max_frame_bytes = 64; // room for any fixed-field frame
     if (config_.brownout_alpha <= 0.0 || config_.brownout_alpha > 1.0)
         config_.brownout_alpha = 0.2;
+    // The front door validates a pair as the length class the engines
+    // will route it to (step 4), so they must all draw that line alike.
+    if (engines_.empty())
+        GMX_FATAL("AlignServer: needs at least one engine");
+    const engine::CascadeConfig &first = engines_.front()->config().cascade;
+    for (const engine::Engine *e : engines_) {
+        const engine::CascadeConfig &c = e->config().cascade;
+        const bool same_kernel =
+            c.long_kernel == first.long_kernel ||
+            (c.long_kernel != nullptr && first.long_kernel != nullptr &&
+             std::string_view(c.long_kernel) == first.long_kernel);
+        if (c.enabled != first.enabled ||
+            c.long_threshold != first.long_threshold || !same_kernel)
+            GMX_FATAL("AlignServer: engines disagree on the long length "
+                      "class (cascade enabled/long_threshold/long_kernel)");
+    }
 }
 
 Status
@@ -271,13 +289,12 @@ AlignServer::handleRequest(Conn &conn, AlignRequestFrame req,
                            seq::Sequence(std::move(req.text))};
     // Class-aware validation: long-read pairs are judged by the long
     // class's own cap, not the short-class length/skew limits (the
-    // engine's streamed tier serves them in O(window) memory).
-    const align::LengthClass klass =
-        config_.long_read_threshold > 0 &&
-                std::max(pair.pattern.size(), pair.text.size()) >=
-                    config_.long_read_threshold
-            ? align::LengthClass::Long
-            : align::LengthClass::Short;
+    // engine's streamed tier serves them in O(window) memory). The class
+    // comes from the engines' own cascade config, so the front door
+    // admits exactly what they will stream.
+    const align::LengthClass klass = engine::lengthClassFor(
+        engines_.front()->config().cascade, pair.pattern.size(),
+        pair.text.size());
     if (Status v = align::validatePair(pair, config_.limits, klass);
         !v.ok()) {
         Outgoing o;

@@ -149,18 +149,13 @@ struct AlignServerConfig
      */
     unsigned watchdog_multiple = 0;
 
-    /** Input validation applied before a request reaches the router. */
-    align::InputLimits limits{};
-
     /**
-     * Pairs whose longer side reaches this threshold validate as the
-     * Long length class (reject_empty / reject_non_acgt /
-     * max_long_pair_bases; the short-class length and skew limits do
-     * not apply). Keep in step with the engines' cascade long_threshold
-     * so the front door admits exactly what the engines will stream.
-     * 0 validates everything as Short.
+     * Input validation applied before a request reaches the router. A
+     * pair validates as the length class its engines' cascade config
+     * gives it (engine::lengthClassFor): a Long pair answers only to
+     * reject_empty / reject_non_acgt / max_long_pair_bases.
      */
-    size_t long_read_threshold = 64 * 1024;
+    align::InputLimits limits{};
 
     /** Per-client admission quotas (disabled by default). */
     QuotaConfig quota{};

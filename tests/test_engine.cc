@@ -116,6 +116,129 @@ TEST(Cascade, ExpiredTokenUnwindsWithDeadlineExceeded)
     }
 }
 
+// ---------------------------------------------------------- route plan
+
+TEST(CascadePlan, ArenaPeakStaysWithinPlannedAdmission)
+{
+    // The bytes the engine reserves for a request must cover the scratch
+    // its cascade actually draws, on every route the cascade can take.
+    seq::Generator gen(3131);
+    const CascadeConfig cfg;
+    std::vector<seq::SequencePair> pairs;
+    for (size_t len : {16, 64, 150, 300, 1000})
+        for (double err : {0.0, 0.02, 0.15, 0.5})
+            pairs.push_back(gen.pair(len, err));
+    pairs.push_back(gen.pair(3000, 0.5)); // filter miss, bands, full tier
+    // Skewed: one side a prefix of the other, so the filter's k carries
+    // the skew term (k = 3994 for 10 x 4000).
+    const std::pair<size_t, size_t> skews[] = {
+        {10, 300}, {10, 4000}, {100, 1500}, {700, 300}, {700, 1500}};
+    for (auto [pattern, text] : skews) {
+        const auto t = gen.random(std::max(pattern, text));
+        pairs.push_back({t.substr(0, pattern), t.substr(0, text)});
+    }
+    for (const auto &pair : pairs) {
+        for (bool cigar : {false, true}) {
+            const RoutePlan plan = planRoute(cfg, pair.pattern.size(),
+                                             pair.text.size(), cigar);
+            ScratchArena arena;
+            const auto out = cascadeAlign(pair, cfg, cigar, {}, arena);
+            EXPECT_LE(arena.peakBytes(), plan.admission_bytes)
+                << pair.pattern.size() << "x" << pair.text.size()
+                << " cigar=" << cigar << " tier=" << tierName(out.tier);
+        }
+    }
+}
+
+/** Every attempt's tier is a planned tier, met in plan order. */
+void
+expectAttemptsFollow(const RoutePlan &plan, const CascadeOutcome &out)
+{
+    const auto route = plan.route();
+    size_t at = 0;
+    for (const CascadeAttempt &a : out.attempts) {
+        while (at < route.size() && route[at].tier != a.tier)
+            ++at;
+        ASSERT_LT(at, route.size())
+            << "attempt tier " << tierName(a.tier) << " off the plan";
+    }
+    ASSERT_FALSE(out.attempts.empty());
+    EXPECT_TRUE(out.attempts.back().answered);
+    EXPECT_EQ(out.attempts.back().tier, out.tier);
+}
+
+TEST(CascadePlan, AttemptsFollowThePlan)
+{
+    seq::Generator gen(3232);
+    CascadeConfig cfg;
+    cfg.long_threshold = 2048;
+    CascadeConfig disabled;
+    disabled.enabled = false;
+    struct Case
+    {
+        const CascadeConfig *cfg;
+        seq::SequencePair pair;
+    };
+    std::vector<Case> cases;
+    for (double err : {0.01, 0.12, 0.45})
+        cases.push_back({&cfg, gen.pair(300, err)});       // filter..full
+    cases.push_back({&cfg, gen.pair(3000, 0.05)});         // long class
+    cases.push_back({&disabled, gen.pair(300, 0.01)});     // disabled
+    cases.push_back({&cfg, {seq::Sequence(""), gen.random(40)}}); // empty
+    cases.push_back({&cfg, {gen.random(40), seq::Sequence("")}});
+    for (const Case &c : cases) {
+        for (bool cigar : {false, true}) {
+            const RoutePlan plan =
+                planRoute(*c.cfg, c.pair.pattern.size(),
+                          c.pair.text.size(), cigar);
+            const auto out = cascadeAlign(c.pair, *c.cfg, cigar);
+            expectAttemptsFollow(plan, out);
+        }
+    }
+
+    // The routes themselves: long pairs stream alone, a disabled cascade
+    // goes straight to the full tier.
+    const RoutePlan long_plan = planRoute(cfg, 3000, 3000, true);
+    EXPECT_EQ(long_plan.klass, align::LengthClass::Long);
+    ASSERT_EQ(long_plan.route().size(), 1u);
+    EXPECT_EQ(long_plan.route()[0].tier, Tier::Streamed);
+    EXPECT_EQ(long_plan.downgrade.desc, nullptr);
+    EXPECT_FALSE(long_plan.packable);
+    const RoutePlan off = planRoute(disabled, 300, 300, false);
+    ASSERT_EQ(off.route().size(), 1u);
+    EXPECT_EQ(off.route()[0].tier, Tier::Full);
+    EXPECT_FALSE(off.packable);
+    const RoutePlan full_route = planRoute(cfg, 300, 300, false);
+    ASSERT_EQ(full_route.route().size(), 3u);
+    EXPECT_EQ(full_route.route()[0].tier, Tier::Filter);
+    EXPECT_EQ(full_route.route()[1].tier, Tier::Banded);
+    EXPECT_EQ(full_route.route()[2].tier, Tier::Full);
+    EXPECT_TRUE(full_route.packable);
+    EXPECT_FALSE(planRoute(cfg, 300, 300, true).packable);
+}
+
+TEST(CascadePlan, DegeneratePairsPlanTheFullTierAlone)
+{
+    // An empty side routes straight to the full tier, so neither the
+    // filter and banded kernels' length caps nor the filter's scratch
+    // count toward the request: admission is the full tier's estimate.
+    const CascadeConfig cfg;
+    const std::pair<size_t, size_t> shapes[] = {{0, 500}, {500, 0}};
+    for (bool cigar : {false, true}) {
+        for (auto [n, m] : shapes) {
+            const RoutePlan plan = planRoute(cfg, n, m, cigar);
+            ASSERT_EQ(plan.route().size(), 1u);
+            const PlannedTier &full = plan.route()[0];
+            EXPECT_EQ(full.tier, Tier::Full);
+            EXPECT_EQ(full.desc, &fullTierKernel(cfg, cigar));
+            EXPECT_EQ(plan.admission_bytes,
+                      full.desc->scratch_bytes(n, m, full.params));
+            EXPECT_FALSE(plan.packable);
+            EXPECT_EQ(plan.downgrade.desc != nullptr, cigar);
+        }
+    }
+}
+
 // -------------------------------------------------------------- engine
 
 TEST(Engine, OrderedResultsUnderConcurrency)
@@ -706,7 +829,7 @@ TEST(EngineBudget, EstimatorsAreMonotonicAndTileAware)
               94u * 94u * kTileEdgeBytes + 6000u);
     EXPECT_LT(hirschbergBytes(3000, 3000),
               fullGmxTracebackBytes(3000, 3000, 32));
-    EXPECT_LT(distanceOnlyBytes(3000, 3000, 32),
+    EXPECT_LT(planRoute(CascadeConfig{}, 3000, 3000, false).admission_bytes,
               fullGmxTracebackBytes(3000, 3000, 32));
     EXPECT_GT(fullGmxTracebackBytes(6000, 6000, 32),
               fullGmxTracebackBytes(3000, 3000, 32));

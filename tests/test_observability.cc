@@ -65,28 +65,6 @@ TEST(BudgetEstimators, CascadeAutoFilterKKeepsTheSkewTerm)
     EXPECT_EQ(cascadeAutoFilterK(2000, 100), 1904);   // symmetric in skew
 }
 
-TEST(BudgetEstimators, DistanceOnlyBytesSizeFilterFromTheSharedClosedForm)
-{
-    // Regression: the estimator used max(8, longer/16) for the Bitap
-    // filter budget and dropped the skew + 4 term the cascade actually
-    // routes with, so skewed pairs under-reserved the filter's (k+1)
-    // state vectors.
-    const size_t n = 256, m = 8192;
-    const unsigned tile = 32;
-    const size_t k =
-        static_cast<size_t>(cascadeAutoFilterK(n, m)) + 1; // 7940 + 1
-    const size_t filter = 2 * k * ((n + 63) / 64) * sizeof(u64);
-    EXPECT_GE(distanceOnlyBytes(n, m, tile), filter);
-
-    // The pre-fix closed form dropped the skew term: k would have been
-    // max(8, 8192/16) + 1 = 513, an order of magnitude under what the
-    // cascade actually allocates for this pair.
-    const size_t k_noskew = std::max<size_t>(8, m / 16) + 1;
-    const size_t filter_noskew = 2 * k_noskew * ((n + 63) / 64) * sizeof(u64);
-    EXPECT_GT(filter, 10 * filter_noskew);
-    EXPECT_GT(distanceOnlyBytes(n, m, tile), filter_noskew);
-}
-
 // ---------------------------------------------------------------------------
 // LatencyHistogram robustness.
 // ---------------------------------------------------------------------------

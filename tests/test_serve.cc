@@ -700,6 +700,31 @@ TEST(AlignServer, ValidationRejectsWithTypedStatusAndKeepsConnection)
     EXPECT_EQ(snap.cache_misses, 1u);
 }
 
+TEST(AlignServer, FrontDoorClassifiesLikeTheEngine)
+{
+    // The engine streams pairs from 2048 bp on, so a 3000 bp pair is Long
+    // class and the short-class max_pair_bases must not reject it at the
+    // front door: the server validates with the engine's own routing.
+    engine::EngineConfig ecfg;
+    ecfg.cascade.long_threshold = 2048;
+    AlignServerConfig scfg;
+    scfg.limits.max_pair_bases = 4096;
+    Harness h(scfg, 1, ecfg);
+    AlignClient client(h.clientConfig());
+    ASSERT_TRUE(client.connect().ok());
+
+    seq::Generator gen(31);
+    const auto pair = gen.pair(3000, 0.05);
+    const auto results = client.alignBatch({pair}, false);
+    ASSERT_TRUE(results[0].ok()) << results[0].status().toString();
+    // Streamed answers are upper bounds on the edit distance.
+    EXPECT_GE(results[0]->distance,
+              align::nwAlign(pair.pattern, pair.text).distance);
+    const auto snap = h.engines[0]->metrics();
+    EXPECT_EQ(snap.tier_hits[static_cast<unsigned>(engine::Tier::Streamed)],
+              1u);
+}
+
 TEST(AlignServer, ProtocolGarbageGetsTypedErrorNeverCrashes)
 {
     Harness h;
@@ -1057,11 +1082,14 @@ TEST(AlignServer, DeadlineCancelsLongKernelMidFlight)
 
 TEST(AlignClient, RetryCompletesPartialBatchAfterThrottle)
 {
-    // Quota burst 4 with a fast refill: the first attempt resolves 4
-    // pairs and leaves 4 throttled (Overloaded — retryable); backoff
-    // retries must finish the rest without resubmitting resolved slots.
+    // Quota burst 4 with a slow refill (one token per 50 ms): the first
+    // attempt resolves the burst, plus any token that refilled while it
+    // ran, and leaves the rest throttled (Overloaded — retryable);
+    // backoff retries must finish them without resubmitting resolved
+    // slots. The assertions hold for any admission timing short of a
+    // first attempt slow enough (over 200 ms) to refill all four.
     AlignServerConfig scfg;
-    scfg.quota.tokens_per_sec = 200.0;
+    scfg.quota.tokens_per_sec = 20.0;
     scfg.quota.burst = 4;
     Harness h(scfg);
 
@@ -1084,8 +1112,10 @@ TEST(AlignClient, RetryCompletesPartialBatchAfterThrottle)
                   align::nwAlign(pairs[i].pattern, pairs[i].text).distance);
     }
     ASSERT_GE(client.attempts().size(), 2u);
-    EXPECT_EQ(client.attempts()[0].resolved, 4u);
-    EXPECT_EQ(client.attempts()[0].retryable, 4u);
+    const AttemptLog &first = client.attempts()[0];
+    EXPECT_GE(first.resolved, 4u);
+    EXPECT_GE(first.retryable, 1u);
+    EXPECT_EQ(first.resolved + first.retryable, pairs.size());
     size_t resolved_total = 0;
     for (const AttemptLog &a : client.attempts())
         resolved_total += a.resolved;
