@@ -313,7 +313,7 @@ main(int argc, char **argv)
     // Scalar bpm vs the inter-pair batcher, priced on the kernel phase
     // alone so the comparison isolates the DP inner loop from setup and
     // dispatch. The scalar leg runs the registry descriptor directly (no
-    // engine) on the short-read shape the cascade's filter tier sees most.
+    // engine) on the short-read shape the cascade's distance tier sees most.
     {
         seq::Generator gen(9090);
         std::vector<seq::SequencePair> pairs;

@@ -6,7 +6,8 @@
  *
  * Demonstrates:
  *   - streaming submission with futures (no fork-join per batch),
- *   - cascade tier routing (Bitap filter -> Banded(GMX) -> Full(GMX)),
+ *   - cascade tier routing (exact BPM distance, then one Banded(GMX) or
+ *     Full(GMX) traceback),
  *   - per-tier observability: kernel GCUPS and the queue-wait vs
  *     service-time latency split,
  *   - the JSON metrics snapshot and the OpenMetrics text block a
@@ -86,7 +87,7 @@ main(int argc, char **argv)
         traffic.push_back(gen.pair(200, err));
     }
 
-    // Stream everything in (distance-only: the filter tier may answer),
+    // Stream everything in (distance-only: the distance tier answers),
     // then collect through the futures. Futures always deliver a
     // Result<AlignResult>: a value or a typed Status, never an exception.
     std::vector<std::future<engine::Engine::AlignOutcome>> futures;

@@ -20,10 +20,14 @@ cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 echo "== Fault-injection pass (chaos suite) =="
+# The wire framing tests ride along: the front door's buffered reader
+# and coalescing writer must keep their contract with fault points
+# compiled in.
 cmake -B build-fault -S . -DGMX_FAULT_INJECTION=ON
-cmake --build build-fault -j"$(nproc)" --target test_chaos test_engine
+cmake --build build-fault -j"$(nproc)" --target test_chaos test_engine \
+    test_serve
 ctest --test-dir build-fault --output-on-failure -j"$(nproc)" \
-    -R 'Chaos|Engine'
+    -R 'Chaos|Engine|WireFraming'
 
 echo "== Observability pass (-Werror build, trace/exporter under TSan) =="
 # New warnings in the observability layer may not land silently, and the
@@ -40,7 +44,8 @@ ctest --test-dir build-obs --output-on-failure -j"$(nproc)" \
 echo "== Front-door pass (-Werror + TSan, serve + scrape + chaos storm) =="
 # Both servers run on the one listener core in common/net (acceptor,
 # handler pool, connection cap, graceful stop); the alignment server adds
-# one writer thread per connection over shared quota/router/cache state.
+# one writer thread per connection over shared quota/router/cache state,
+# fed by a buffered frame reader and coalescing its sends (WireFraming).
 # ThreadSanitizer must see the serve suite, the scrape-server suite and
 # the fault-storm leg clean, with warnings-as-errors so new serve code
 # lands warning-free. ServeMetrics pins the serve renders (golden
@@ -50,7 +55,7 @@ cmake -B build-front -S . -DGMX_WERROR=ON -DGMX_SANITIZE=thread \
 cmake --build build-front -j"$(nproc)" \
     --target test_serve test_server test_chaos
 ctest --test-dir build-front --output-on-failure -j"$(nproc)" \
-    -R 'ServeProtocol|ServeMetrics|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos'
+    -R 'ServeProtocol|ServeMetrics|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos|WireFraming'
 
 echo "== Resilience pass (TSan + -Werror: breaker/brownout/watchdog) =="
 # The circuit breaker, brownout EWMA, connection watchdog, and retry
@@ -107,22 +112,24 @@ echo "== SIMD pass (4-lane batcher, dispatch gate, arena estimates, forced scala
 # runtime gate and its test seam (Dispatch), and the arena estimates of
 # the batch group and of every registry kernel (ScratchArena). Then the
 # gate and registry tests re-run under GMX_FORCE_SCALAR=1 so the env
-# override path (not just the in-process test seam) stays honest. On
+# override path (not just the in-process test seam) stays honest, and
+# so does the cascade corpus (CascadeCorpus: one distance pass, one
+# traceback attempt, packed lanes exact past k). On
 # hosts without AVX2 the batcher runs its portable backend.
 ctest --test-dir build --output-on-failure -j"$(nproc)" \
     -R 'Bpm|Dispatch|ScratchArena'
 GMX_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j"$(nproc)" \
-    -R 'Registry|Dispatch'
+    -R 'Registry|Dispatch|CascadeCorpus'
 
-echo "== Engine batch pass (lane-packed filter tier, both dispatch modes) =="
+echo "== Engine batch pass (lane-packed distance tier, both dispatch modes) =="
 # The engine-level batcher integration: end-to-end bit-identity of the
-# packed filter tier vs the forced-scalar cascade, deterministic lane
+# packed distance tier vs the forced-scalar cascade, deterministic lane
 # packing/occupancy, per-lane deadlines, and the head-of-line fusion
 # fix — run with dispatch enabled AND under GMX_FORCE_SCALAR=1 (the
 # packing-sensitive tests skip themselves when packing is off by design;
-# the differential ones must still pass bit-identically). The Cascade
-# and CascadePlan suites ride along, so the route plan and its executor
-# (packed and unpacked filter verdicts) are checked in both modes.
+# the differential ones must still pass bit-identically). The Cascade,
+# CascadePlan and CascadeCorpus suites ride along, so the route plan and
+# its executor (packed and unpacked distances) are checked in both modes.
 ctest --test-dir build --output-on-failure -j"$(nproc)" \
     -R 'EngineBatch|Cascade'
 GMX_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \

@@ -23,9 +23,9 @@ namespace gmx::align {
 /**
  * Edit distance via Bitap with at most @p k errors; kNoAlignment when the
  * distance exceeds k. O(k * n/w) working memory, from the context arena.
- * Polls the context every K text columns (the cascade's filter tier runs
- * this on arbitrarily large pairs, so it must be interruptible like the
- * DP kernels).
+ * Polls the context every K text columns (a registry caller may run this
+ * on arbitrarily large pairs, so it must be interruptible like the DP
+ * kernels).
  */
 i64 bitapDistance(const seq::Sequence &pattern, const seq::Sequence &text,
                   i64 k, KernelContext &ctx);

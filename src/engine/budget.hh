@@ -30,13 +30,14 @@ namespace gmx::engine {
 inline constexpr size_t kTileEdgeBytes = 32;
 
 /**
- * The cascade's auto filter budget for an (n, m) pair:
- * max(8, longer/16, skew + 4). The skew term guarantees the Bitap filter
- * can ever reach the opposite corner (|n-m| edits are unavoidable).
+ * The cascade's auto band budget for an (n, m) pair:
+ * max(8, longer/16, skew + 4). A traceback whose exact distance is at
+ * most 2k runs the banded tier; the skew term keeps a skewed pair, whose
+ * distance is at least |n-m|, on that route.
  *
  * Defined here, next to the footprint estimators: admission sizes the
- * filter's (k+1) state vectors from the same k the cascade runs with,
- * because planRoute puts that k in the filter tier's parameters.
+ * banded tier's scratch at band 2k from the same k the cascade runs
+ * with, because planRoute puts that band in the banded tier's parameters.
  */
 inline i64
 cascadeAutoFilterK(size_t n, size_t m)

@@ -16,11 +16,10 @@ namespace {
 align::AlignResult
 runTier(CascadeOutcome &out, const PlannedTier &plan,
         const seq::SequencePair &pair, const CancelToken &cancel,
-        ScratchArena &arena, PeqMemo &memo)
+        ScratchArena &arena)
 {
     KernelCounts counts;
     KernelContext ctx(cancel, &counts, &arena);
-    ctx.setPeqMemo(&memo);
     Timer timer;
     align::AlignResult r = plan.desc->run(pair, plan.params, ctx);
     const KernelContext::Phases phases = ctx.takePhases();
@@ -70,7 +69,7 @@ planRoute(const CascadeConfig &cfg, size_t n, size_t m, bool want_cigar)
     base.tile = cfg.tile;
 
     // Long length class: the streaming windowed tier answers alone, in
-    // O(window) memory. No filter or band attempt precedes it — the
+    // O(window) memory. No distance or band attempt precedes it — the
     // short-class tiers all materialize O(n) state or worse, which is
     // exactly what this route exists to avoid. Its footprint is the
     // window geometry's, not the pair's, so a 1 Mbp pair reserves the
@@ -84,32 +83,35 @@ planRoute(const CascadeConfig &cfg, size_t n, size_t m, bool want_cigar)
         return plan;
     }
 
-    // Degenerate pairs skip the heuristics; the full tier handles them.
-    const bool filtered = cfg.enabled && n > 0 && m > 0;
-    if (filtered) {
-        const i64 k = cascadeFilterK(cfg, n, m);
+    // Degenerate pairs skip tier 1; the full tier handles them.
+    if (cfg.enabled && n > 0 && m > 0) {
+        // Tier 1 answers every distance-only request and sizes every
+        // traceback's band, so it must never miss.
+        const kernel::AlignerDescriptor &first =
+            registry.require(cfg.filter_kernel);
+        if (!first.exact || first.banded)
+            GMX_FATAL("planRoute: tier-1 kernel '%s' must be exact and "
+                      "unbanded",
+                      first.name);
         kernel::KernelParams fp = base;
         fp.want_cigar = false;
-        fp.k = k;
-        add(Tier::Filter, registry.require(cfg.filter_kernel), fp);
-        kernel::KernelParams bp = base;
-        bp.enforce_bound = true;
-        bp.k = 2 * k;
-        add(Tier::Banded, registry.require(cfg.banded_kernel), bp);
-        plan.band_doublings = cfg.band_doublings;
+        add(Tier::Filter, first, fp);
+        if (want_cigar) {
+            kernel::KernelParams bp = base;
+            bp.enforce_bound = true;
+            bp.k = 2 * cascadeFilterK(cfg, n, m);
+            add(Tier::Banded, registry.require(cfg.banded_kernel), bp);
+        }
     }
-    add(Tier::Full, fullTierKernel(cfg, want_cigar), base);
+    if (plan.tier_count == 0 || want_cigar)
+        add(Tier::Full, fullTierKernel(cfg, want_cigar), base);
 
     // Admission: tier kernels run back to back on one arena and each
-    // rewinds its frame, so the request's peak is the larger of the full
-    // tier (traceback requests pay the whole edge matrix) and the filter
-    // at its k. The banded tier's band is only fixed at run time; its
-    // scratch stays under that maximum (CascadePlan tests pin it).
+    // rewinds its frame, so the request's peak is the largest planned
+    // tier. The banded tier never runs wider than its planned 2k.
     for (const PlannedTier &t : plan.route())
-        if (t.tier != Tier::Banded)
-            plan.admission_bytes =
-                std::max(plan.admission_bytes,
-                         t.desc->scratch_bytes(n, m, t.params));
+        plan.admission_bytes = std::max(
+            plan.admission_bytes, t.desc->scratch_bytes(n, m, t.params));
 
     if (want_cigar) {
         plan.downgrade = {Tier::Downgraded, &registry.require("hirschberg"),
@@ -117,11 +119,10 @@ planRoute(const CascadeConfig &cfg, size_t n, size_t m, bool want_cigar)
         plan.downgrade_bytes =
             plan.downgrade.desc->scratch_bytes(n, m, plan.downgrade.params);
     }
-    // The batch kernel reproduces the "bitap" filter's found-iff-d<=k
-    // contract bit for bit; a CIGAR request's filter never answers, so
-    // packing it would buy nothing.
-    plan.packable = filtered && !want_cigar &&
-                    std::string_view(cfg.filter_kernel) == "bitap" &&
+    // A packed lane computes exactly the "bpm" distance; a CIGAR request
+    // needs its own traceback, so packing it would buy nothing.
+    plan.packable = !want_cigar && plan.route()[0].tier == Tier::Filter &&
+                    std::string_view(cfg.filter_kernel) == "bpm" &&
                     simd::batchLaneFits(n, m);
     return plan;
 }
@@ -132,54 +133,32 @@ runPlan(const RoutePlan &plan, const seq::SequencePair &pair,
         const FilterLane *packed)
 {
     GMX_ASSERT(packed == nullptr || plan.packable,
-               "runPlan: a packed verdict needs a packable plan");
+               "runPlan: a packed lane needs a packable plan");
     CascadeOutcome out;
-    // One Peq memo for the whole cascade: every bit-parallel tier retry on
-    // this pattern (band doublings, tier escalation) reuses the first
-    // attempt's match-mask table instead of rebuilding it. A packed
-    // filter built its masks in lane layout, so the later tiers then
-    // rebuild theirs as they would after a scalar bitap filter.
-    PeqMemo memo;
-    align::AlignResult filtered; // not found until a filter tier finds it
-    for (const PlannedTier &t : plan.route()) {
-        switch (t.tier) {
-          case Tier::Filter:
-            if (packed != nullptr) {
-                out.counts = packed->counts;
-                out.attempts.push_back(packed->attempt);
-                filtered = packed->filtered;
-            } else {
-                filtered = runTier(out, t, pair, cancel, arena, memo);
-            }
-            // A hit's distance is exact; distance-only requests are done.
-            if (filtered.found() && !plan.want_cigar)
-                return answered(std::move(out), Tier::Filter,
-                                std::move(filtered));
-            break;
-          case Tier::Banded: {
-            // A filter hit pins the band to the exact distance (guaranteed
-            // to succeed); a miss tries growing bands.
-            PlannedTier band = t;
-            int tries = plan.band_doublings;
-            if (filtered.found()) {
-                band.params.k = std::max<i64>(filtered.distance, 1);
-                tries = 1;
-            }
-            for (int i = 0; i < tries; ++i, band.params.k *= 2) {
-                align::AlignResult r =
-                    runTier(out, band, pair, cancel, arena, memo);
-                if (r.found())
-                    return answered(std::move(out), Tier::Banded,
-                                    std::move(r));
-            }
-            break;
-          }
-          default: {
-            // Full or Streamed: always answers.
-            align::AlignResult r = runTier(out, t, pair, cancel, arena, memo);
-            return answered(std::move(out), t.tier, std::move(r));
-          }
+    const auto route = plan.route();
+    align::AlignResult first;
+    if (packed != nullptr) {
+        out.counts = packed->counts;
+        out.attempts.push_back(packed->attempt);
+        first = packed->result;
+    } else {
+        first = runTier(out, route[0], pair, cancel, arena);
+    }
+    if (route.size() == 1)
+        return answered(std::move(out), route[0].tier, std::move(first));
+
+    // A traceback: one attempt, at the band tier 1's exact distance
+    // fixes, or over the full grid when that band would pass 2k.
+    for (PlannedTier t : route.subspan(1)) {
+        if (t.tier == Tier::Banded) {
+            if (first.distance > t.params.k)
+                continue;
+            t.params.k = std::max<i64>(first.distance, 1);
         }
+        align::AlignResult r = runTier(out, t, pair, cancel, arena);
+        GMX_ASSERT(r.found(), "runPlan: a band at the exact distance "
+                              "must answer");
+        return answered(std::move(out), t.tier, std::move(r));
     }
     GMX_FATAL("runPlan: the route ended without an answering tier");
 }
@@ -191,9 +170,7 @@ runDowngrade(const RoutePlan &plan, const seq::SequencePair &pair,
     GMX_ASSERT(plan.downgrade.desc != nullptr,
                "runDowngrade: the plan has no downgrade tier");
     CascadeOutcome out;
-    PeqMemo memo;
-    align::AlignResult r =
-        runTier(out, plan.downgrade, pair, cancel, arena, memo);
+    align::AlignResult r = runTier(out, plan.downgrade, pair, cancel, arena);
     return answered(std::move(out), Tier::Downgraded, std::move(r));
 }
 
@@ -240,12 +217,8 @@ cascadeFilterBatch(std::span<FilterLane *const> lanes, ScratchArena &arena)
         FilterLane &lane = *lanes[i];
         lane.status = bl[i].status;
         lane.counts = bl[i].counts;
-        // The scalar filter's contract: found with the exact distance iff
-        // d <= k. The batch kernel knows the exact distance even past k,
-        // but reporting it would diverge the continuation from the scalar
-        // cascade — a miss stays a miss.
-        if (lane.status.ok() && bl[i].distance <= lane.k)
-            lane.filtered.distance = bl[i].distance;
+        if (lane.status.ok())
+            lane.result.distance = bl[i].distance;
         lane.attempt = {Tier::Filter, lane.counts.cells, micros, false,
                         setup_us, kernel_us};
     }

@@ -3,25 +3,24 @@
  * Adaptive cascade dispatcher: route each pair through the cheapest
  * alignment strategy that can answer it exactly.
  *
- * The tiers reuse the paper's §4.1 strategies, cheapest first:
+ * A short-class request takes at most two kernel calls:
  *
- *   1. Filter — Bitap (the GenASM kernel) with a small error budget k.
- *      Distance-only requests whose distance is <= k finish here; for
- *      traceback requests a hit still fixes the exact band for tier 2.
- *   2. Banded(GMX) — the Edlib-style band of tiles. Exact whenever the
- *      optimal path stays inside the band; the band either comes from the
- *      filter (known distance => guaranteed hit) or grows by doubling.
- *   3. Full — the whole DP-matrix; always exact, the fallback when the
- *      pair diverges too much for any band the budget allows. A
- *      traceback runs Full(GMX); a distance-only request runs scalar
- *      "bpm", the same exact recurrence without the tile emulation
- *      (fullTierKernel).
+ *   1. Distance — the exact, unbanded Myers/BPM pass ("bpm"; a packed
+ *      lane of simd::bpmDistanceBatchLanes when the engine fuses
+ *      requests). It never misses, so a distance-only request always
+ *      ends here.
+ *   2. Traceback — one attempt, sized by tier 1's exact distance d:
+ *      Banded(GMX) at band max(d, 1) when d <= 2k (k = cascadeFilterK),
+ *      which is guaranteed to answer; otherwise Full(GMX) over the whole
+ *      DP-matrix.
  *
- * Every tier is exact when it answers (Bitap and Banded(GMX) both report
- * the true edit distance whenever they report success), so the cascade
- * returns bit-identical distances — and, because Banded(GMX) and
- * Full(GMX) share the same tile traceback with the same tie-breaking,
- * identical CIGARs — to running Full(GMX) on every pair.
+ * Every tier is exact, so the cascade returns bit-identical distances —
+ * and, because Banded(GMX) and Full(GMX) share the same tile traceback
+ * with the same tie-breaking, identical CIGARs — to running Full(GMX) on
+ * every pair. A disabled cascade or a pair with an empty side runs the
+ * full tier alone ("bpm" for a distance, Full(GMX) for a traceback; see
+ * fullTierKernel), and the long length class runs the streamed tier
+ * alone.
  *
  * planRoute() makes every routing decision for one request once: length
  * class, tier list with kernel parameters, the memory downgrade, lane
@@ -50,10 +49,10 @@ namespace gmx::engine {
 
 /**
  * Tuning knobs for the cascade. The tier kernels are registry names
- * (kernel::AlignerRegistry), so the tier list is data: swapping the
- * filter to "bpm-banded" or the exact tiers to a future kernel is a
- * config edit, not a dispatcher rewrite. Each named kernel must be
- * exact and, for the banded tier, banded.
+ * (kernel::AlignerRegistry), so the tier list is data: swapping an
+ * exact tier to a future kernel is a config edit, not a dispatcher
+ * rewrite. Each named kernel must be exact; tier 1 must also be
+ * unbanded (it may never miss) and the banded tier banded.
  */
 struct CascadeConfig
 {
@@ -61,23 +60,18 @@ struct CascadeConfig
     bool enabled = true;
 
     /**
-     * Filter error budget; 0 derives it from the pair:
-     * max(8, max(n,m)/16, |n-m| + 4).
+     * Band budget k; 0 derives it from the pair:
+     * max(8, max(n,m)/16, |n-m| + 4). A traceback whose exact distance
+     * is at most 2k runs the banded tier, a wider one the full tier.
      */
     i64 filter_k = 0;
-
-    /**
-     * Banded attempts when the filter misses: band budgets 2k, 4k, ...
-     * (band_doublings of them) before escalating to the full tier.
-     */
-    int band_doublings = 2;
 
     /** GMX tile size for the banded and full tiers. */
     unsigned tile = 32;
 
-    const char *filter_kernel = "bitap";     //!< tier 1 (distance-only)
-    const char *banded_kernel = "gmx-banded"; //!< tier 2 (exact in band)
-    const char *full_kernel = "gmx-full";     //!< tier 3 (always answers)
+    const char *filter_kernel = "bpm";        //!< tier 1 (exact distance)
+    const char *banded_kernel = "gmx-banded"; //!< traceback, d <= 2k
+    const char *full_kernel = "gmx-full";     //!< traceback, d > 2k
 
     /**
      * Length-class routing: pairs whose longer side reaches
@@ -110,10 +104,10 @@ lengthClassFor(const CascadeConfig &config, size_t n, size_t m)
 
 /**
  * One kernel invocation inside a cascade run: which tier ran, how much
- * work it did, and how long it took. A request that escalates records
- * one attempt per tier tried (a missed banded doubling is its own
- * attempt), so per-tier work accounting attributes cells to the tier
- * that actually computed them, not to the tier that finally answered.
+ * work it did, and how long it took. A traceback request records its
+ * distance pass and its traceback as two attempts, so per-tier work
+ * accounting attributes cells to the tier that actually computed them,
+ * not to the tier that finally answered.
  */
 struct CascadeAttempt
 {
@@ -148,8 +142,7 @@ struct CascadeOutcome
 /**
  * One planned kernel invocation: the tier it counts toward, the registry
  * kernel that runs it and its base parameters. The banded tier's k is
- * the band of its first doubling (twice the filter's k); a filter hit
- * replaces it with the exact distance at run time.
+ * its widest band, 2k; runPlan narrows it to the exact distance.
  */
 struct PlannedTier
 {
@@ -165,17 +158,17 @@ struct PlannedTier
  */
 struct RoutePlan
 {
-    static constexpr size_t kMaxTiers = 3; //!< filter, banded, full
+    static constexpr size_t kMaxTiers = 3; //!< distance, banded, full
 
     align::LengthClass klass = align::LengthClass::Short;
     bool want_cigar = true;
 
-    /** Tiers in execution order; the last one always answers. */
+    /**
+     * The first tier always runs; a traceback request then runs exactly
+     * one of the banded and full tiers that follow it.
+     */
     std::array<PlannedTier, kMaxTiers> tiers{};
     size_t tier_count = 0;
-
-    /** Banded attempts (band doubling each time) after a filter miss. */
-    int band_doublings = 0;
 
     /**
      * The memory-frugal traceback the engine runs when the budget cannot
@@ -187,10 +180,9 @@ struct RoutePlan
     size_t downgrade_bytes = 0;
 
     /**
-     * The request may ride a packed filter group (cascadeFilterBatch):
-     * distance-only, short class, cascade on with the "bitap" filter
-     * and a pair that fits a batch lane. The tier list then starts with
-     * the filter.
+     * The request may ride a packed distance group (cascadeFilterBatch):
+     * distance-only, short class, cascade on with the "bpm" tier 1 and
+     * a pair that fits a batch lane. Its lane then answers it.
      */
     bool packable = false;
 
@@ -208,46 +200,40 @@ RoutePlan planRoute(const CascadeConfig &config, size_t n, size_t m,
                     bool want_cigar);
 
 /**
- * One request's slot in a batched filter-tier run. The engine's lane
- * packer fills pair/cancel/k, cascadeFilterBatch() fills the outputs:
- * the filter verdict exactly as the scalar filter tier would have
- * produced it (found with the exact distance iff distance <= k,
- * not-found otherwise — the batch kernel's exact distance on a miss is
- * discarded so runPlan continues attempt for attempt as the scalar
- * cascade would), plus the per-lane work record to seed the request's
- * outcome with. A lane whose pair is null never ran in a group.
+ * One request's slot in a batched tier-1 run. The engine's lane packer
+ * fills pair/cancel, cascadeFilterBatch() fills the outputs: the lane's
+ * exact distance (the answer the scalar "bpm" tier would give) and the
+ * per-lane work record to seed the request's outcome with. A lane whose
+ * pair is null never ran in a group.
  */
 struct FilterLane
 {
     const seq::SequencePair *pair = nullptr;
     CancelToken cancel{};
-    i64 k = 0; //!< the filter tier's budget from the request's plan
 
     // Outputs.
-    Status status{};              //!< Cancelled / DeadlineExceeded
-    align::AlignResult filtered;  //!< scalar-identical filter verdict
-    CascadeAttempt attempt;       //!< this lane's Filter-tier attempt
-    KernelCounts counts;          //!< this lane's own kernel work
+    Status status{};            //!< Cancelled / DeadlineExceeded
+    align::AlignResult result;  //!< the exact distance, no CIGAR
+    CascadeAttempt attempt;     //!< this lane's tier-1 attempt
+    KernelCounts counts;        //!< this lane's own kernel work
     u64 reserved_share = 0; //!< the lane's share of the group's budget grant
 };
 
 /**
- * Run the cascade's filter tier for up to four requests as one packed
- * kernel invocation (simd::bpmDistanceBatchLanes), producing per-lane
- * verdicts bit-identical to the scalar "bitap" filter: both compute the
- * exact distance and apply the same d <= k decision, so a packed request
- * continues through banded/full exactly as if it had run alone. Every
- * lane must come from a packable plan.
+ * Run tier 1 for up to four distance-only requests as one packed kernel
+ * invocation (simd::bpmDistanceBatchLanes). Each lane gets the exact
+ * distance the scalar "bpm" tier computes, which answers its request.
+ * Every lane must come from a packable plan.
  */
 void cascadeFilterBatch(std::span<FilterLane *const> lanes,
                         ScratchArena &arena);
 
 /**
- * Execute @p plan for @p pair: each tier in order until one answers
- * (filter hit + no cigar -> done; hit + cigar -> one banded attempt at
- * the exact distance; miss -> band doublings, then the full tier). With
- * @p packed, the filter tier already ran in a packed group and its lane
- * verdict, attempt and counts stand in for it.
+ * Execute @p plan for @p pair: the first tier, then — for a traceback —
+ * one banded attempt at band max(d, 1) when tier 1's distance d is
+ * within the banded tier's 2k, else the full tier. With @p packed, tier
+ * 1 already ran in a packed group and its lane's distance, attempt and
+ * counts stand in for it.
  *
  * Scratch comes from @p arena (not reset here: the owner resets once per
  * request and reads peakBytes() afterwards). @p cancel is threaded into
@@ -265,9 +251,9 @@ CascadeOutcome runDowngrade(const RoutePlan &plan,
 
 /**
  * Align @p pair through the cascade: planRoute plus runPlan. With
- * @p want_cigar the result carries a full traceback (so tier 1 can only
- * pre-filter, never answer); without it the result is distance-only and
- * may finish at any tier. Uses a thread-local arena, so standalone
+ * @p want_cigar the result carries a full traceback (tier 1 only sizes
+ * its band); without it the result is tier 1's exact distance. Uses a
+ * thread-local arena, so standalone
  * callers still skip per-call heap traffic after warmup.
  */
 CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
@@ -288,8 +274,8 @@ CascadeOutcome cascadeAlign(const seq::SequencePair &pair,
 const kernel::AlignerDescriptor &fullTierKernel(const CascadeConfig &config,
                                                 bool want_cigar);
 
-/** The effective filter budget the cascade runs with for an n x m pair:
- *  the configured filter_k, or the auto policy when it is 0. */
+/** The band budget k the cascade runs with for an n x m pair: the
+ *  configured filter_k, or the auto policy when it is 0. */
 inline i64
 cascadeFilterK(const CascadeConfig &config, size_t n, size_t m)
 {

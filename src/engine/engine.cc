@@ -269,17 +269,15 @@ Engine::runOne(Request &req, const FilterLane &lane)
     // open on the latency/error window and route around this engine.
     GMX_FAULT_STALL_AT(faults::Point::ShardWedge);
 
-    // A packed filter hit is already the final answer (distance-only by
-    // eligibility): its scratch was covered by the group's single
-    // reservation, so reserving the per-request estimate here again
-    // would double-count the fused batch against the budget.
-    const bool packed_hit = packed && lane.filtered.found();
-
     // Memory-budget admission. The reservation is held for the whole
-    // kernel call and released by RAII whichever way we leave.
+    // kernel call and released by RAII whichever way we leave. A packed
+    // lane already holds the final answer (distance-only by
+    // eligibility), and the group's single reservation covered its
+    // scratch: reserving the per-request estimate again would
+    // double-count the fused batch against the budget.
     MemoryReservation reservation;
     bool downgrade = false;
-    if (!packed_hit && budget_.enabled() && plan.admission_bytes > 0) {
+    if (!packed && budget_.enabled() && plan.admission_bytes > 0) {
         if (budget_.tryReserve(plan.admission_bytes)) {
             reservation = MemoryReservation(&budget_, plan.admission_bytes);
         } else if (config_.downgrade_under_pressure &&
@@ -307,7 +305,7 @@ Engine::runOne(Request &req, const FilterLane &lane)
     if (traced)
         trace_.record(req.id, TraceEvent::Admission, admitted_us,
                       StatusCode::Ok,
-                      packed_hit ? lane.reserved_share : reservation.bytes());
+                      packed ? lane.reserved_share : reservation.bytes());
 
     try {
         if (GMX_INJECT_FAULT(faults::Point::AllocFail))
@@ -317,7 +315,7 @@ Engine::runOne(Request &req, const FilterLane &lane)
         align::AlignResult result;
         Served served(AlignOutcome(align::AlignResult{}));
         served.reserved_bytes =
-            packed_hit ? lane.reserved_share : reservation.bytes();
+            packed ? lane.reserved_share : reservation.bytes();
         served.admitted_us = admitted_us;
         // Reset keeps the block (coalesced to the high-water mark), not
         // the contents.
@@ -402,8 +400,8 @@ Engine::runFilterGroups(std::vector<Request> &batch,
         if (cnt < 2)
             continue; // singleton: the plain cascade path is the same work
 
-        // One reservation for the whole group: the packed filter shares
-        // one scratch block, so per-lane filter reservations would
+        // One reservation for the whole group: the packed distance pass
+        // shares one scratch block, so per-lane reservations would
         // double-count the batch. If even the group grant doesn't fit,
         // skip packing — each lane then takes its own admission gate.
         size_t max_pattern = 0;
@@ -425,16 +423,14 @@ Engine::runFilterGroups(std::vector<Request> &batch,
             FilterLane &lane = lanes[live[j]];
             lane.pair = &req.pair;
             lane.cancel = req.cancel;
-            // A packable plan starts with the filter tier.
-            lane.k = req.plan.tiers[0].params.k;
             lane.reserved_share = group_grant.bytes() / cnt;
             group[j] = &lane;
         }
         cascadeFilterBatch({group.data(), cnt}, arena);
         metrics_.recordFilterBatch(cnt);
         metrics_.noteArenaPeak(arena.peakBytes());
-        // group_grant releases here: misses re-enter the normal
-        // per-request admission for their banded/full continuation.
+        // group_grant releases here: every lane holds its answer, which
+        // runOne hands back without a further reservation.
     }
 }
 
@@ -442,7 +438,7 @@ void
 Engine::runRequests(std::vector<Request> batch)
 {
     // Stamp worker pickup for the whole fused task up front: the lane
-    // packer may run a request's filter tier before its runOne turn, and
+    // packer may run a request's distance tier before its runOne turn, and
     // a traced request's Dispatch span must precede that work.
     for (Request &req : batch) {
         req.dispatched = Clock::now();
@@ -451,8 +447,8 @@ Engine::runRequests(std::vector<Request> batch)
                           trace_.toUs(req.dispatched));
     }
 
-    // Lane-pack compatible fused requests and run their filter tiers as
-    // packed groups before the per-request loop.
+    // Lane-pack compatible fused requests and run their distance tiers
+    // as packed groups before the per-request loop.
     std::vector<FilterLane> lanes(batch.size());
     if (batch.size() >= 2 && filterBatchingActive())
         runFilterGroups(batch, lanes);

@@ -70,7 +70,7 @@ enum class Backpressure {
 
 /**
  * When the engine lane-packs fused distance-only requests through the
- * 4-lane SIMD filter batcher (kernel/simd bpmDistanceBatchLanes).
+ * 4-lane SIMD distance batcher (kernel/simd bpmDistanceBatchLanes).
  * Results are bit-identical either way — packing only changes
  * throughput — and GMX_FORCE_SCALAR=1 disables every mode.
  */
@@ -148,7 +148,7 @@ struct EngineConfig
 /** Per-request options for Engine::submit. */
 struct SubmitOptions
 {
-    /** Ask for a full traceback (tier 1 then only pre-filters). */
+    /** Ask for a full traceback (tier 1 then only sizes its band). */
     bool want_cigar = true;
 
     /**
@@ -288,13 +288,13 @@ class Engine
     void workerLoop();
     void runRequests(std::vector<Request> batch);
     /** Admission + kernel for one request; never throws. @p lane holds
-     *  the lane packer's filter-tier result when the request rode in a
+     *  the lane packer's tier-1 distance when the request rode in a
      *  packed group (its pair is null otherwise). */
     Served runOne(Request &req, const FilterLane &lane);
     /** Whether this engine lane-packs right now (config + dispatch). */
     bool filterBatchingActive() const;
     /** Pack the packable requests of @p batch into lane groups, run their
-     *  filter tiers batched, and record the results into @p lanes. */
+     *  distance tiers batched, and record the results into @p lanes. */
     void runFilterGroups(std::vector<Request> &batch,
                          std::vector<FilterLane> &lanes);
     bool isSmall(const Request &req) const

@@ -41,12 +41,13 @@ namespace gmx {
 /**
  * Arena-frame-scoped reuse hook for the Myers Peq match-mask table.
  *
- * The cascade retries kernels on the SAME pattern (band doublings, tier
- * escalation), and each attempt used to rebuild the per-symbol masks from
- * scratch. A driver that owns retries places one PeqMemo on the context;
- * align::acquirePeq() then allocates the table OUTSIDE the kernel's arena
- * frame (so retries' rewinds don't invalidate it) and returns the cached
- * span whenever the pattern identity, length, and word stride match.
+ * A driver that runs several Myers kernels on the SAME pattern (a replay
+ * of one request's kernel calls, say) would otherwise rebuild the
+ * per-symbol masks for each. Such a driver places one PeqMemo on the
+ * context; align::acquirePeq() then allocates the table OUTSIDE the
+ * kernel's arena frame (so later rewinds don't invalidate it) and returns
+ * the cached span whenever the pattern identity, length, and word stride
+ * match.
  *
  * Lifetime: the memo and its span die with the request — the owner must
  * not outlive the arena reset, and a fresh memo starts every request.

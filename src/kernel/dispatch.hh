@@ -3,7 +3,7 @@
  * Runtime gate for the one SIMD kernel, the inter-pair batcher.
  *
  * The registry holds scalar kernels only. The engine's lane packer runs
- * the cascade's filter tier for fused distance-only requests through
+ * the cascade's distance tier for fused distance-only requests through
  * simd::bpmDistanceBatchLanes when simdDispatchEnabled() says so: the
  * binary carries AVX2 code, the CPU supports it, and GMX_FORCE_SCALAR is
  * not set. The batcher's distances equal the scalar kernel's, so the

@@ -219,8 +219,8 @@ gmxFullScratchBytes(size_t n, size_t m, const KernelParams &params)
 {
     if (!params.want_cigar) {
         // One rolling tile-row of boundary edges. (Cascade-wide admission
-        // — which also covers the Bitap filter tier — is the engine's
-        // job; this is the footprint of THIS kernel alone.)
+        // — which also covers the distance tier — is the engine's job;
+        // this is the footprint of THIS kernel alone.)
         const size_t t = params.tile;
         const size_t tiles = (std::max(n, m) + t - 1) / t;
         return 3 * tiles * engine::kTileEdgeBytes + ScratchArena::kAlign;

@@ -11,7 +11,7 @@
  * scalar bpmDistance. Distances equal the scalar kernel's exactly.
  *
  * The engine's lane packer is the only serving caller; it runs the
- * cascade's filter tier for fused distance-only requests through this
+ * cascade's distance tier for fused distance-only requests through this
  * entry point when kernel::simdDispatchEnabled() allows it.
  *
  * This translation unit is the only one compiled with -mavx2 (when CMake

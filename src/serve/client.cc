@@ -81,6 +81,7 @@ void
 AlignClient::close()
 {
     net::closeFd(fd_);
+    in_.clear();
     max_frame_bytes_ = 0;
     server_features_ = 0;
     requests_sent_ = 0;
@@ -107,7 +108,7 @@ AlignClient::connect()
         return s;
     }
     FrameHeader fh;
-    std::string payload;
+    std::string_view payload;
     if (Status s = readFrame(fh, payload); !s.ok()) {
         close();
         return s;
@@ -145,28 +146,26 @@ AlignClient::sendEncoded(const std::string &encoded)
 }
 
 Status
-AlignClient::readFrame(FrameHeader &header, std::string &payload)
+AlignClient::readFrame(FrameHeader &header, std::string_view &payload)
 {
     if (fd_ < 0)
         return Status::internal("client not connected");
-    char hdr[kHeaderBytes];
-    if (Status s = ioStatus(net::recvExact(fd_, hdr, kHeaderBytes),
-                            "frame header read");
-        !s.ok())
-        return s;
     const u32 cap =
         max_frame_bytes_ > 0 ? max_frame_bytes_ : kDefaultMaxFrameBytes;
-    if (Status s = decodeHeader(hdr, kHeaderBytes, cap, header); !s.ok())
-        return s;
-    payload.assign(header.payload_len, '\0');
-    if (header.payload_len > 0) {
-        if (Status s = ioStatus(
-                net::recvExact(fd_, payload.data(), payload.size()),
-                "frame payload read");
+    for (;;) {
+        Status error;
+        const FrameReader::Next next = in_.next(cap, header, payload, error);
+        if (next == FrameReader::Next::Frame)
+            return Status();
+        if (next == FrameReader::Next::Invalid)
+            return error;
+        if (Status s = ioStatus(in_.fill(fd_),
+                                next == FrameReader::Next::NeedHeader
+                                    ? "frame header read"
+                                    : "frame payload read");
             !s.ok())
             return s;
     }
-    return Status();
 }
 
 Status
@@ -195,7 +194,7 @@ Status
 AlignClient::readResponse(AlignResponseFrame &out)
 {
     FrameHeader fh;
-    std::string payload;
+    std::string_view payload;
     if (Status s = readFrame(fh, payload); !s.ok()) {
         close();
         return s;
@@ -367,7 +366,7 @@ AlignClient::bye()
     // Drain anything still in flight until the ByeAck arrives.
     for (;;) {
         FrameHeader fh;
-        std::string payload;
+        std::string_view payload;
         if (Status s = readFrame(fh, payload); !s.ok()) {
             close();
             return s;

@@ -30,6 +30,7 @@
 #include <chrono>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "align/types.hh"
@@ -181,12 +182,13 @@ class AlignClient
     const ClientConfig &config() const { return config_; }
 
   private:
-    /** Read one whole frame (header + payload). */
-    Status readFrame(FrameHeader &header, std::string &payload);
+    /** Read one whole frame; @p payload stays valid until the next read. */
+    Status readFrame(FrameHeader &header, std::string_view &payload);
     Status sendEncoded(const std::string &encoded);
 
     ClientConfig config_;
     int fd_ = -1;
+    FrameReader in_; //!< frames received but not yet read (see protocol.hh)
     u32 max_frame_bytes_ = 0;
     u8 server_features_ = 0;
     u64 cache_hits_ = 0;

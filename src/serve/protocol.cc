@@ -1,5 +1,6 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "align/types.hh"
@@ -442,6 +443,71 @@ decodeEmpty(FrameType t, size_t len)
         return Status::invalidInput(std::string(frameTypeName(t)) +
                                     " frame must be empty");
     return Status();
+}
+
+net::IoResult
+FrameReader::fill(int fd)
+{
+    if (empty()) {
+        begin_ = end_ = 0;
+        // A long-read frame grew the buffer; do not keep it per idle
+        // connection.
+        if (cap_ > 4 * kChunk) {
+            buf_.reset();
+            cap_ = 0;
+        }
+    }
+    const size_t room = std::max(kChunk, want_);
+    if (cap_ - end_ < room) {
+        // Slide the unfinished frame to the front, into a larger buffer
+        // when the pending frame still would not fit.
+        const size_t live = end_ - begin_;
+        if (cap_ - live < room) {
+            auto grown = std::make_unique_for_overwrite<char[]>(live + room);
+            if (live > 0)
+                std::memcpy(grown.get(), buf_.get() + begin_, live);
+            buf_ = std::move(grown);
+            cap_ = live + room;
+        } else {
+            std::memmove(buf_.get(), buf_.get() + begin_, live);
+        }
+        begin_ = 0;
+        end_ = live;
+    }
+    size_t got = 0;
+    const net::IoResult r =
+        net::recvSome(fd, buf_.get() + end_, cap_ - end_, got);
+    end_ += got;
+    return r;
+}
+
+FrameReader::Next
+FrameReader::next(u32 max_payload, FrameHeader &header,
+                  std::string_view &payload, Status &error)
+{
+    want_ = 0;
+    const size_t have = end_ - begin_;
+    if (have < kHeaderBytes)
+        return Next::NeedHeader;
+    error = decodeHeader(buf_.get() + begin_, kHeaderBytes, max_payload,
+                         header);
+    if (!error.ok())
+        return Next::Invalid;
+    const size_t total = kHeaderBytes + header.payload_len;
+    if (have < total) {
+        want_ = total - have;
+        return Next::NeedPayload;
+    }
+    payload = std::string_view(buf_.get() + begin_ + kHeaderBytes,
+                               header.payload_len);
+    begin_ += total;
+    return Next::Frame;
+}
+
+void
+FrameReader::clear()
+{
+    begin_ = end_ = want_ = 0;
 }
 
 } // namespace gmx::serve

@@ -46,13 +46,26 @@
  * microsecond budget. The extension is only ever sent to a server
  * that advertised the feature — a v1 decoder would correctly reject
  * the trailing bytes — so strict decoders stay strict on both sides.
+ *
+ * Framing on the byte stream: frame boundaries need not line up with
+ * send() or recv() boundaries. A peer may write many frames in one send
+ * and a frame may arrive a byte at a time, so both ends read through a
+ * FrameReader: each recv() appends whatever arrived, and every complete
+ * frame the buffer holds is parsed before the next recv(). A header is
+ * checked as soon as its 12 bytes are in, so an oversized or garbled
+ * frame is refused before its payload is read; a stream that ends (or
+ * stalls past the read deadline) inside a header or payload is a
+ * truncated frame, never a short one.
  */
 
 #ifndef GMX_SERVE_PROTOCOL_HH
 #define GMX_SERVE_PROTOCOL_HH
 
+#include <memory>
 #include <string>
+#include <string_view>
 
+#include "common/net.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 
@@ -207,6 +220,54 @@ Status decodeError(const void *data, size_t len, ErrorFrame &out);
 
 /** Bye and ByeAck carry no payload; len must be 0. */
 Status decodeEmpty(FrameType t, size_t len);
+
+/**
+ * The receive side of one connection (see "Framing" above): a buffer
+ * that fill() appends one recv() to and next() takes whole frames from,
+ * in order. Not thread-safe; one per connection.
+ */
+class FrameReader
+{
+  public:
+    /** What the front of the buffer holds. */
+    enum class Next {
+        Frame,       //!< a whole frame, now consumed
+        NeedHeader,  //!< fewer than kHeaderBytes buffered
+        NeedPayload, //!< a valid header, its payload still arriving
+        Invalid,     //!< a header decodeHeader rejects
+    };
+
+    /**
+     * One recv() from @p fd into the buffer: Ok when bytes arrived,
+     * otherwise the net::recvSome classification (Closed on EOF).
+     */
+    net::IoResult fill(int fd);
+
+    /**
+     * Take the next frame. On Frame, @p header and @p payload describe
+     * it (the view stays valid until the next fill()); on Invalid,
+     * @p error says why and the stream cannot be resynchronised.
+     */
+    Next next(u32 max_payload, FrameHeader &header,
+              std::string_view &payload, Status &error);
+
+    /** No byte of an unfinished frame is buffered. */
+    bool empty() const { return begin_ == end_; }
+
+    /** Drop everything buffered (the connection is gone). */
+    void clear();
+
+  private:
+    /** Bytes asked of each recv() when no larger frame is pending. */
+    static constexpr size_t kChunk = 64 * 1024;
+
+    /** Left uninitialised, so a page is touched only when bytes land. */
+    std::unique_ptr<char[]> buf_;
+    size_t cap_ = 0;
+    size_t begin_ = 0; //!< first unconsumed byte
+    size_t end_ = 0;   //!< one past the last received byte
+    size_t want_ = 0;  //!< bytes the pending frame still lacks
+};
 
 } // namespace gmx::serve
 

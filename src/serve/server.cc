@@ -157,7 +157,7 @@ AlignServer::watermark(Priority p) const
 }
 
 bool
-AlignServer::sendFrame(Conn &conn, const std::string &encoded)
+AlignServer::sendFrames(Conn &conn, const std::string &encoded, u64 frames)
 {
     if (conn.dead.load(std::memory_order_relaxed))
         return false;
@@ -170,7 +170,7 @@ AlignServer::sendFrame(Conn &conn, const std::string &encoded)
         conn.dead.store(true, std::memory_order_relaxed);
         return false;
     }
-    metrics_.frames_out.fetch_add(1, std::memory_order_relaxed);
+    metrics_.frames_out.fetch_add(frames, std::memory_order_relaxed);
     metrics_.bytes_out.fetch_add(encoded.size(),
                                  std::memory_order_relaxed);
     return true;
@@ -353,9 +353,24 @@ AlignServer::handleRequest(Conn &conn, AlignRequestFrame req,
     enqueue(conn, std::move(o));
 }
 
+bool
+AlignServer::ready(const Outgoing &item)
+{
+    return item.bye || item.immediate ||
+           item.ticket.future.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+}
+
 void
 AlignServer::writerLoop(Conn &conn)
 {
+    // Responses that are ready back to back leave in one send: the
+    // writer appends while the next queued item needs no wait (up to
+    // kMaxBatchBytes), then flushes. Order stays the queue's, which is
+    // submission order.
+    constexpr size_t kMaxBatchBytes = 64 * 1024;
+    std::string batch;
+    u64 frames = 0;
     for (;;) {
         Outgoing item;
         {
@@ -364,7 +379,7 @@ AlignServer::writerLoop(Conn &conn)
                 return !conn.out.empty() || conn.closing;
             });
             if (conn.out.empty())
-                return; // closing and fully drained
+                return; // closing and fully drained (nothing unsent)
             item = std::move(conn.out.front());
             conn.out.pop_front();
         }
@@ -373,9 +388,9 @@ AlignServer::writerLoop(Conn &conn)
                                     std::memory_order_relaxed);
 
         if (item.bye) {
-            (void)sendFrame(conn, encodeByeAck());
+            batch += encodeByeAck();
         } else if (item.immediate) {
-            (void)sendFrame(conn, item.encoded);
+            batch += item.encoded;
             // Rejections count as responses whether or not the bytes
             // landed, matching the routed path below.
             if (item.reject) {
@@ -437,58 +452,62 @@ AlignServer::writerLoop(Conn &conn)
                 metrics_.noteClient(conn.client_id,
                                     ServeMetrics::ClientEvent::Failed);
             }
-            (void)sendFrame(conn, encodeAlignResponse(resp));
+            batch += encodeAlignResponse(resp);
         }
+        ++frames;
 
+        bool more = false;
+        {
+            std::lock_guard<std::mutex> lk(conn.mu);
+            more = !conn.out.empty() && ready(conn.out.front());
+        }
+        if (more && batch.size() < kMaxBatchBytes)
+            continue;
+        (void)sendFrames(conn, batch, frames);
+        batch.clear();
         conn.last_progress_us.store(steadyMicros(),
                                     std::memory_order_relaxed);
-        conn.inflight.fetch_sub(1, std::memory_order_relaxed);
+        conn.inflight.fetch_sub(frames, std::memory_order_relaxed);
+        frames = 0;
     }
 }
 
 void
 AlignServer::readerLoop(Conn &conn)
 {
+    FrameReader in;
     for (;;) {
-        char hdr[kHeaderBytes];
-        size_t got = 0;
-        // One-byte probe first: a timeout here means an idle (not slow)
-        // client with nothing consumed, so the stream stays in sync and
-        // the reader gets a periodic stopping() check.
-        net::IoResult r = net::recvSome(conn.fd, hdr, 1, got);
-        if (r == net::IoResult::Timeout) {
-            if (listener_.stopping())
-                return;
-            continue;
-        }
-        if (r != net::IoResult::Ok || got == 0)
-            return; // peer closed (or stop()'s SHUT_RD), or hard error
-        r = net::recvExact(conn.fd, hdr + 1, kHeaderBytes - 1);
-        if (r != net::IoResult::Ok) {
-            protocolError(conn,
-                          Status::invalidInput("truncated frame header"));
-            return;
-        }
-
         FrameHeader fh;
-        Status hs =
-            decodeHeader(hdr, kHeaderBytes, config_.max_frame_bytes, fh);
-        if (hs.ok() &&
-            GMX_INJECT_FAULT(engine::faults::Point::FrameTooLarge))
-            hs = Status::invalidInput(
-                "frame payload exceeds cap (injected)");
-        if (!hs.ok()) {
+        std::string_view payload;
+        Status hs;
+        const FrameReader::Next next =
+            in.next(config_.max_frame_bytes, fh, payload, hs);
+        if (next == FrameReader::Next::Invalid) {
             protocolError(conn, hs);
             return;
         }
-        std::string payload(fh.payload_len, '\0');
-        if (fh.payload_len > 0) {
-            r = net::recvExact(conn.fd, payload.data(), payload.size());
-            if (r != net::IoResult::Ok) {
-                protocolError(
-                    conn, Status::invalidInput("truncated frame payload"));
-                return;
+        if (next != FrameReader::Next::Frame) {
+            // Every buffered frame is parsed; wait for more bytes.
+            const net::IoResult r = in.fill(conn.fd);
+            if (r == net::IoResult::Ok)
+                continue;
+            if (in.empty()) {
+                // A timeout between frames is an idle (not slow) client,
+                // and the reader's periodic stopping() check.
+                if (r == net::IoResult::Timeout && !listener_.stopping())
+                    continue;
+                return; // peer closed (or stop()'s SHUT_RD), or hard error
             }
+            protocolError(conn, Status::invalidInput(
+                                    next == FrameReader::Next::NeedHeader
+                                        ? "truncated frame header"
+                                        : "truncated frame payload"));
+            return;
+        }
+        if (GMX_INJECT_FAULT(engine::faults::Point::FrameTooLarge)) {
+            protocolError(conn, Status::invalidInput(
+                                    "frame payload exceeds cap (injected)"));
+            return;
         }
         const auto received = std::chrono::steady_clock::now();
         metrics_.frames_in.fetch_add(1, std::memory_order_relaxed);
@@ -572,8 +591,10 @@ AlignServer::handshake(Conn &conn)
     // Echo the intersection of offered and supported feature bits; the
     // client uses only echoed bits, so a v1 peer (offers 0) sees 0.
     conn.features = hello.features & kSupportedFeatures;
-    return sendFrame(conn, encodeHelloAck({kVersion, conn.features,
-                                           config_.max_frame_bytes}));
+    return sendFrames(conn,
+                      encodeHelloAck({kVersion, conn.features,
+                                      config_.max_frame_bytes}),
+                      1);
 }
 
 void

@@ -28,6 +28,14 @@
  * back to the client — the server never buffers unboundedly for a slow
  * consumer.
  *
+ * Framing: the reader recv()s into one per-connection FrameReader and
+ * handles every complete frame it holds before the next recv(), so a
+ * client that pipelines requests costs one syscall per burst, not two
+ * per frame. The writer appends each response to a batch while the next
+ * queued item is already answerable (a rejection, or a routed request
+ * whose future is ready), then writes the batch with one send(). It
+ * never waits to fill a batch, and responses keep submission order.
+ *
  * Overload semantics, in the order a request meets them:
  *   1. connection cap     -> Error frame (Overloaded), connection closed
  *   2. client token bucket -> AlignResponse(Overloaded) for that request
@@ -202,7 +210,7 @@ class AlignServer
     const AlignServerConfig &config() const { return config_; }
 
   private:
-    /** One queued outgoing item; writer consumes in FIFO order. */
+    /** One queued outgoing item; the writer answers in FIFO order. */
     struct Outgoing
     {
         bool bye = false;      //!< send ByeAck, then the writer exits
@@ -256,6 +264,8 @@ class AlignServer
     bool handshake(Conn &conn);
     void readerLoop(Conn &conn);
     void writerLoop(Conn &conn);
+    /** True when @p item can be answered without waiting for an engine. */
+    static bool ready(const Outgoing &item);
     void watchdogLoop();
 
     /** Queue one item, blocking while the connection's queue is full. */
@@ -272,8 +282,8 @@ class AlignServer
     /** Brownout level from the queue-wait EWMA: 0 none, 1 Low, 2 +Normal. */
     unsigned brownoutLevel() const;
 
-    /** Send one encoded frame, with frame/byte accounting. */
-    bool sendFrame(Conn &conn, const std::string &encoded);
+    /** Send @p frames encoded frames in one write, with accounting. */
+    bool sendFrames(Conn &conn, const std::string &encoded, u64 frames);
 
     /** Protocol failure: count it, best-effort Error frame. */
     void protocolError(Conn &conn, const Status &error);

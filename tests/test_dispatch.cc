@@ -45,14 +45,14 @@ TEST(Dispatch, DispatchedNamesAlwaysResolveInRegistry)
 
 TEST(Dispatch, DistanceOnlyFullTierRunsBpmUnderBothOverrides)
 {
-    // A bitap miss with no band doublings goes straight to the full
-    // tier, which answers a distance-only request with scalar "bpm" on
-    // every host: same distance and attempt cells whether or not the
-    // SIMD gate is open, and the same cells as calling "bpm" directly.
+    // A disabled cascade goes straight to the full tier, which answers a
+    // distance-only request with scalar "bpm" on every host: same
+    // distance and attempt cells whether or not the SIMD gate is open,
+    // and the same cells as calling "bpm" directly.
     seq::Generator gen(20261019);
     const seq::SequencePair pair = gen.pair(300, 0.3);
     engine::CascadeConfig config;
-    config.band_doublings = 0;
+    config.enabled = false;
     EXPECT_STREQ(engine::fullTierKernel(config, false).name, "bpm");
     EXPECT_STREQ(engine::fullTierKernel(config, true).name, "gmx-full");
 
@@ -66,12 +66,12 @@ TEST(Dispatch, DistanceOnlyFullTierRunsBpmUnderBothOverrides)
         ForceScalarGuard guard(force);
         outs.push_back(engine::cascadeAlign(pair, config, false));
         const engine::CascadeOutcome &o = outs.back();
-        ASSERT_EQ(o.attempts.size(), 2u) << "force=" << force;
-        EXPECT_EQ(o.attempts[0].tier, engine::Tier::Filter);
+        ASSERT_EQ(o.attempts.size(), 1u) << "force=" << force;
+        EXPECT_EQ(o.attempts[0].tier, engine::Tier::Full);
         EXPECT_EQ(o.tier, engine::Tier::Full);
-        EXPECT_TRUE(o.attempts[1].answered);
+        EXPECT_TRUE(o.attempts[0].answered);
         EXPECT_EQ(o.result.distance, bpm.distance) << "force=" << force;
-        EXPECT_EQ(o.attempts[1].cells, direct.cells) << "force=" << force;
+        EXPECT_EQ(o.attempts[0].cells, direct.cells) << "force=" << force;
     }
     EXPECT_EQ(outs[0].counts.cells, outs[1].counts.cells);
 }

@@ -34,25 +34,31 @@ using std::chrono::milliseconds;
 
 TEST(Cascade, TiersAgreeWithNwGroundTruth)
 {
-    // Mixed divergence: low error hits the filter band, medium the
-    // banded tier, high escalates to Full(GMX).
+    // Mixed divergence: tier 1 answers every distance-only request; a
+    // traceback request escalates to the banded tier when its distance
+    // is within 2k and to Full(GMX) beyond it.
     seq::Generator gen(4242);
     CascadeConfig cfg;
     std::array<u64, kTierCount> seen{};
+    std::array<u64, kTierCount> seen_cigar{};
     for (double err : {0.01, 0.05, 0.12, 0.30, 0.45}) {
         for (int rep = 0; rep < 4; ++rep) {
             const auto pair = gen.pair(300, err);
+            const i64 truth = align::nwDistance(pair.pattern, pair.text);
             const auto outcome = cascadeAlign(pair, cfg, false);
-            EXPECT_EQ(outcome.result.distance,
-                      align::nwDistance(pair.pattern, pair.text))
+            EXPECT_EQ(outcome.result.distance, truth)
                 << "err=" << err << " rep=" << rep;
             ++seen[static_cast<unsigned>(outcome.tier)];
+            const auto traced = cascadeAlign(pair, cfg, true);
+            EXPECT_EQ(traced.result.distance, truth)
+                << "err=" << err << " rep=" << rep;
+            ++seen_cigar[static_cast<unsigned>(traced.tier)];
         }
     }
     // The mixed workload must actually exercise the escalation path.
     EXPECT_GT(seen[static_cast<unsigned>(Tier::Filter)], 0u);
-    EXPECT_GT(seen[static_cast<unsigned>(Tier::Banded)] +
-                  seen[static_cast<unsigned>(Tier::Full)],
+    EXPECT_GT(seen_cigar[static_cast<unsigned>(Tier::Banded)] +
+                  seen_cigar[static_cast<unsigned>(Tier::Full)],
               0u);
 }
 
@@ -208,13 +214,25 @@ TEST(CascadePlan, AttemptsFollowThePlan)
     ASSERT_EQ(off.route().size(), 1u);
     EXPECT_EQ(off.route()[0].tier, Tier::Full);
     EXPECT_FALSE(off.packable);
-    const RoutePlan full_route = planRoute(cfg, 300, 300, false);
+    const RoutePlan full_route = planRoute(cfg, 300, 300, true);
     ASSERT_EQ(full_route.route().size(), 3u);
     EXPECT_EQ(full_route.route()[0].tier, Tier::Filter);
     EXPECT_EQ(full_route.route()[1].tier, Tier::Banded);
     EXPECT_EQ(full_route.route()[2].tier, Tier::Full);
-    EXPECT_TRUE(full_route.packable);
-    EXPECT_FALSE(planRoute(cfg, 300, 300, true).packable);
+    EXPECT_FALSE(full_route.packable);
+    // A distance-only request plans tier 1 alone, which a lane can run.
+    const RoutePlan distance = planRoute(cfg, 300, 300, false);
+    ASSERT_EQ(distance.route().size(), 1u);
+    EXPECT_EQ(distance.route()[0].tier, Tier::Filter);
+    EXPECT_TRUE(distance.packable);
+
+    // Tier 1 may never miss: a banded or inexact kernel is refused.
+    for (const char *kernel : {"bitap", "bpm-banded", "gmx-windowed"}) {
+        CascadeConfig missing = cfg;
+        missing.filter_kernel = kernel;
+        EXPECT_THROW(planRoute(missing, 300, 300, false), FatalError)
+            << kernel;
+    }
 }
 
 TEST(CascadePlan, DegeneratePairsPlanTheFullTierAlone)

@@ -4,7 +4,8 @@
  * bit-identity of batched vs forced-scalar cascades through
  * Engine::submit, deterministic lane packing of fused micro-batches,
  * per-lane deadline semantics (expired-in-queue and mid-batch), the
- * head-of-line fusion fix, and the packing metrics.
+ * head-of-line fusion fix, the packing metrics, and the cascade's
+ * one-distance-pass, one-traceback-attempt contract on a shared corpus.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "align/bpm.hh"
 #include "align/nw.hh"
+#include "align/verify.hh"
 #include "engine/engine.hh"
 #include "kernel/dispatch.hh"
 #include "kernel/simd/bpm_simd.hh"
@@ -444,6 +446,114 @@ TEST(EngineBatch, PackingMetricsStayZeroWhenOffOrForcedScalar)
         ASSERT_TRUE(forced[i].ok()) << i;
         EXPECT_EQ(off[i].value().distance, forced[i].value().distance)
             << i;
+    }
+}
+
+
+// ---------------------------------------------------- cascade corpus
+
+TEST(CascadeCorpus, OneDistancePassThenOneTracebackAttempt)
+{
+    // Every short-class request takes one exact distance pass; a CIGAR
+    // request then makes exactly one traceback attempt, banded iff the
+    // distance is within 2k. Word-boundary lengths and divergences on
+    // both sides of k and 2k, plus skewed shapes.
+    seq::Generator gen(3333);
+    const CascadeConfig cfg;
+    std::vector<seq::SequencePair> pairs;
+    for (size_t len : {40u, 64u, 65u, 150u, 257u, 300u, 700u})
+        for (double err : {0.0, 0.02, 0.08, 0.15, 0.3, 0.5})
+            pairs.push_back(gen.pair(len, err));
+    for (auto [n, m] : {std::pair<size_t, size_t>{10, 300}, {100, 1500},
+                        {700, 300}}) {
+        const auto t = gen.random(std::max(n, m));
+        pairs.push_back({t.substr(0, n), t.substr(0, m)});
+    }
+
+    size_t past_k = 0, banded = 0, full = 0;
+    for (const auto &pair : pairs) {
+        const size_t n = pair.pattern.size();
+        const size_t m = pair.text.size();
+        const i64 truth = align::nwDistance(pair.pattern, pair.text);
+        const i64 k = cascadeFilterK(cfg, n, m);
+        past_k += truth > k;
+
+        const auto distance = cascadeAlign(pair, cfg, false);
+        ASSERT_EQ(distance.attempts.size(), 1u) << n << "x" << m;
+        EXPECT_EQ(distance.tier, Tier::Filter);
+        EXPECT_EQ(distance.result.distance, truth) << n << "x" << m;
+
+        const auto traced = cascadeAlign(pair, cfg, true);
+        ASSERT_EQ(traced.attempts.size(), 2u) << n << "x" << m;
+        EXPECT_EQ(traced.attempts[0].tier, Tier::Filter);
+        const bool in_band = truth <= 2 * k;
+        EXPECT_EQ(traced.tier, in_band ? Tier::Banded : Tier::Full)
+            << n << "x" << m << " d=" << truth << " k=" << k;
+        (in_band ? banded : full) += 1;
+        EXPECT_EQ(traced.result.distance, truth) << n << "x" << m;
+        const auto check =
+            align::verifyResult(pair.pattern, pair.text, traced.result);
+        EXPECT_TRUE(check.ok) << check.error;
+    }
+    EXPECT_GT(past_k, 0u);
+    EXPECT_GT(banded, 0u);
+    EXPECT_GT(full, 0u);
+
+    // Tier 1 no longer misses past k: a packed lane reports the exact
+    // distance the scalar tier computes, with the SIMD gate open or
+    // forced shut, called directly and through the engine's packer.
+    std::vector<seq::SequencePair> wide;
+    for (const auto &pair : pairs)
+        if (simd::batchLaneFits(pair.pattern.size(), pair.text.size()) &&
+            align::nwDistance(pair.pattern, pair.text) >
+                cascadeFilterK(cfg, pair.pattern.size(), pair.text.size()))
+            wide.push_back(pair);
+    ASSERT_GE(wide.size(), 4u);
+    wide.resize(std::min<size_t>(wide.size(), 8));
+    for (const int force : {0, 1}) {
+        ForceScalarGuard guard(force);
+        ScratchArena arena;
+        std::array<FilterLane, 8> lanes{};
+        for (size_t at = 0; at < wide.size(); at += simd::kBatchLanes) {
+            std::array<FilterLane *, simd::kBatchLanes> group{};
+            const size_t cnt =
+                std::min(simd::kBatchLanes, wide.size() - at);
+            for (size_t j = 0; j < cnt; ++j) {
+                lanes[at + j].pair = &wide[at + j];
+                group[j] = &lanes[at + j];
+            }
+            cascadeFilterBatch({group.data(), cnt}, arena);
+        }
+
+        EngineConfig ecfg;
+        ecfg.microbatch_max = wide.size();
+        ecfg.filter_batching = FilterBatching::On;
+        BlockedEngine blocked;
+        blocked.start(ecfg);
+        if (HasFatalFailure())
+            return;
+        std::vector<std::future<Outcome>> futures;
+        for (const auto &pair : wide)
+            futures.push_back(blocked.engine->submit(pair, false));
+        blocked.releaseAll();
+
+        for (size_t i = 0; i < wide.size(); ++i) {
+            const i64 scalar =
+                cascadeAlign(wide[i], cfg, false).result.distance;
+            ASSERT_TRUE(lanes[i].status.ok()) << i;
+            EXPECT_EQ(lanes[i].result.distance, scalar)
+                << "force=" << force << " lane " << i;
+            const auto served = futures[i].get();
+            ASSERT_TRUE(served.ok()) << i;
+            EXPECT_EQ(served.value().distance, scalar)
+                << "force=" << force << " request " << i;
+            EXPECT_EQ(scalar,
+                      align::nwDistance(wide[i].pattern, wide[i].text));
+        }
+        // The engine packed every request unless the gate is forced shut.
+        EXPECT_EQ(blocked.engine->metrics().filter_batched_pairs,
+                  kernel::forceScalar() ? 0u : wide.size())
+            << "force=" << force;
     }
 }
 

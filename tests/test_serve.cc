@@ -6,12 +6,14 @@
  * per-client quotas, priority shed ordering under a deterministically
  * blocked engine, graceful shutdown with a batch in flight, the
  * listener lifecycle (restart, port clash, refusing a connection still
- * queued at stop()), and protocol-error handling. Runs under TSan in
- * scripts/tier1.sh.
+ * queued at stop()), protocol-error handling, and framing (frames
+ * batched into one send or split across many, truncation, coalesced
+ * responses). Runs under TSan in scripts/tier1.sh.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -1042,17 +1044,18 @@ TEST(AlignServer, DeadlineFeatureIsNegotiated)
 
 TEST(AlignServer, DeadlineCancelsLongKernelMidFlight)
 {
-    // A pair big and noisy enough that the cascade escalates to the
-    // full-matrix tier, where an uninterrupted run takes far longer
-    // than the budget: the response must come back DeadlineExceeded via
-    // the engine's cooperative cancel gate, not hang until completion.
+    // A short-class pair just under the long threshold, whose exact
+    // distance pass alone runs several times longer than the budget (a
+    // 60 kbp @35% pair takes ~440 ms of "bpm" on a 4-vCPU Xeon): the
+    // response must come back DeadlineExceeded via the engine's
+    // cooperative cancel gate, not hang until completion.
     Harness h;
     AlignClient client(h.clientConfig("impatient"));
     ASSERT_TRUE(client.connect().ok());
     ASSERT_NE(client.serverFeatures() & kFeatureDeadline, 0);
 
     seq::Generator gen(271);
-    const seq::SequencePair huge = gen.pair(12000, 0.35);
+    const seq::SequencePair huge = gen.pair(60000, 0.35);
 
     BatchOptions opts;
     opts.want_cigar = false;
@@ -1772,6 +1775,303 @@ TEST(ServeMetrics, AnyClientIdIsOneValidDistinctLabel)
             EXPECT_TRUE((c >= 0x20 && c <= 0x7e) || c == '\n')
                 << "byte 0x" << std::hex
                 << static_cast<unsigned>(static_cast<unsigned char>(c));
+}
+
+
+// -------------------------------------------------------------------
+// Framing: frame boundaries are independent of send()/recv() boundaries.
+// -------------------------------------------------------------------
+
+/** One encoded distance-only request for @p pair. */
+std::string
+requestBytes(u64 id, const seq::SequencePair &pair)
+{
+    AlignRequestFrame req;
+    req.id = id;
+    req.want_cigar = false;
+    req.pattern = pair.pattern.str();
+    req.text = pair.text.str();
+    return encodeAlignRequest(req);
+}
+
+/** A raw socket past the handshake, reading frames through a FrameReader. */
+struct RawWire
+{
+    int fd = -1;
+    FrameReader in;
+
+    explicit RawWire(const Harness &h)
+        : fd(net::connectTcp("127.0.0.1", h.server->port(),
+                             std::chrono::milliseconds(5000)))
+    {}
+    ~RawWire() { net::closeFd(fd); }
+
+    bool send(std::string_view bytes)
+    {
+        return net::sendAll(fd, bytes.data(), bytes.size()) ==
+               net::IoResult::Ok;
+    }
+
+    /** The next whole frame; false (with a test failure) if none came. */
+    bool read(FrameType &type, std::string &payload)
+    {
+        for (;;) {
+            FrameHeader fh;
+            std::string_view view;
+            Status error;
+            switch (in.next(kDefaultMaxFrameBytes, fh, view, error)) {
+              case FrameReader::Next::Frame:
+                type = fh.type;
+                payload.assign(view);
+                return true;
+              case FrameReader::Next::Invalid:
+                ADD_FAILURE() << error.toString();
+                return false;
+              default:
+                if (in.fill(fd) != net::IoResult::Ok) {
+                    ADD_FAILURE() << "no frame from the server";
+                    return false;
+                }
+            }
+        }
+    }
+
+    /** Hello, then the HelloAck. */
+    bool hello()
+    {
+        FrameType type{};
+        std::string payload;
+        return send(encodeHello({Priority::Normal, 0, "raw"})) &&
+               read(type, payload) && type == FrameType::HelloAck;
+    }
+
+    /** The next frame as an AlignResponse. */
+    bool response(AlignResponseFrame &out)
+    {
+        FrameType type{};
+        std::string payload;
+        if (!read(type, payload))
+            return false;
+        EXPECT_EQ(type, FrameType::AlignResponse);
+        return type == FrameType::AlignResponse &&
+               decodeAlignResponse(payload.data(), payload.size(), out)
+                   .ok();
+    }
+};
+
+TEST(WireFraming, ReaderReassemblesBatchedAndSplitFrames)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    net::setIoDeadlines(sv[1], std::chrono::milliseconds(5000));
+    FrameReader in;
+    FrameHeader fh;
+    std::string_view payload;
+    Status error;
+    AlignResponseFrame resp;
+
+    // Three frames in one write come out of one recv.
+    std::string burst;
+    for (u64 id = 0; id < 2; ++id) {
+        resp.id = id;
+        burst += encodeAlignResponse(resp);
+    }
+    burst += encodeByeAck();
+    EXPECT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+              FrameReader::Next::NeedHeader);
+    ASSERT_EQ(net::sendAll(sv[0], burst.data(), burst.size()),
+              net::IoResult::Ok);
+    ASSERT_EQ(in.fill(sv[1]), net::IoResult::Ok);
+    for (u64 id = 0; id < 2; ++id) {
+        ASSERT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+                  FrameReader::Next::Frame);
+        ASSERT_TRUE(
+            decodeAlignResponse(payload.data(), payload.size(), resp).ok());
+        EXPECT_EQ(resp.id, id);
+    }
+    ASSERT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+              FrameReader::Next::Frame);
+    EXPECT_EQ(fh.type, FrameType::ByeAck);
+    EXPECT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+              FrameReader::Next::NeedHeader);
+    EXPECT_TRUE(in.empty());
+
+    // One frame a byte at a time: a header first, then its payload.
+    resp.id = 9;
+    resp.code = StatusCode::InvalidInput;
+    resp.message = "split across recvs";
+    const std::string one = encodeAlignResponse(resp);
+    for (size_t i = 0; i < one.size(); ++i) {
+        EXPECT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+                  i < kHeaderBytes ? FrameReader::Next::NeedHeader
+                                   : FrameReader::Next::NeedPayload)
+            << i;
+        ASSERT_EQ(net::sendAll(sv[0], one.data() + i, 1), net::IoResult::Ok);
+        ASSERT_EQ(in.fill(sv[1]), net::IoResult::Ok);
+    }
+    ASSERT_EQ(in.next(kDefaultMaxFrameBytes, fh, payload, error),
+              FrameReader::Next::Frame);
+    AlignResponseFrame split;
+    ASSERT_TRUE(
+        decodeAlignResponse(payload.data(), payload.size(), split).ok());
+    EXPECT_EQ(split.id, 9u);
+    EXPECT_EQ(split.message, "split across recvs");
+
+    // A header over the cap is refused before its payload arrives.
+    ASSERT_EQ(net::sendAll(sv[0], one.data(), kHeaderBytes),
+              net::IoResult::Ok);
+    ASSERT_EQ(in.fill(sv[1]), net::IoResult::Ok);
+    EXPECT_EQ(in.next(8, fh, payload, error), FrameReader::Next::Invalid);
+    EXPECT_EQ(error.code(), StatusCode::InvalidInput);
+
+    in.clear();
+    EXPECT_TRUE(in.empty());
+    ::close(sv[0]);
+    ::close(sv[1]);
+}
+
+TEST(WireFraming, ManyRequestFramesInOneSend)
+{
+    // More requests than max_inflight_per_conn in one send: the reader
+    // parses them from its buffer, blocking on the full response queue
+    // part way, and answers every one in order.
+    Harness h;
+    RawWire w(h);
+    ASSERT_GE(w.fd, 0);
+    ASSERT_TRUE(w.hello());
+    seq::Generator gen(4141);
+    std::vector<seq::SequencePair> pairs;
+    std::string burst;
+    for (u64 id = 0; id < 100; ++id) {
+        pairs.push_back(gen.pair(120, 0.05));
+        burst += requestBytes(id, pairs.back());
+    }
+    ASSERT_TRUE(w.send(burst));
+    for (u64 id = 0; id < pairs.size(); ++id) {
+        AlignResponseFrame resp;
+        ASSERT_TRUE(w.response(resp)) << id;
+        EXPECT_EQ(resp.id, id);
+        ASSERT_EQ(resp.code, StatusCode::Ok) << resp.message;
+        EXPECT_EQ(resp.distance, align::nwDistance(pairs[id].pattern,
+                                                   pairs[id].text))
+            << id;
+    }
+    ASSERT_TRUE(eventually([&] {
+        const ServeSnapshot s = h.server->serveSnapshot();
+        return s.responses_ok == pairs.size();
+    }));
+    const ServeSnapshot snap = h.server->serveSnapshot();
+    EXPECT_EQ(snap.requests, pairs.size());
+    EXPECT_EQ(snap.frames_in, 1 + pairs.size()); // Hello + requests
+    EXPECT_EQ(snap.frames_out, 1 + pairs.size()); // HelloAck + responses
+    EXPECT_EQ(snap.protocol_errors, 0u);
+}
+
+TEST(WireFraming, FrameSplitByteByByte)
+{
+    Harness h;
+    RawWire w(h);
+    ASSERT_GE(w.fd, 0);
+    ASSERT_TRUE(w.hello());
+    seq::Generator gen(4242);
+    const auto pair = gen.pair(80, 0.05);
+    const std::string frame = requestBytes(7, pair);
+    for (const char c : frame) {
+        ASSERT_TRUE(w.send(std::string_view(&c, 1)));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    AlignResponseFrame resp;
+    ASSERT_TRUE(w.response(resp));
+    EXPECT_EQ(resp.id, 7u);
+    ASSERT_EQ(resp.code, StatusCode::Ok) << resp.message;
+    EXPECT_EQ(resp.distance, align::nwDistance(pair.pattern, pair.text));
+    const ServeSnapshot snap = h.server->serveSnapshot();
+    EXPECT_EQ(snap.frames_in, 2u);
+    EXPECT_EQ(snap.bytes_in,
+              encodeHello({Priority::Normal, 0, "raw"}).size() +
+                  frame.size());
+    EXPECT_EQ(snap.protocol_errors, 0u);
+}
+
+TEST(WireFraming, TruncatedHeaderAndPayloadAreProtocolErrors)
+{
+    // The stream ends inside a frame: the server answers with a typed
+    // Error frame naming the truncated part, and counts no request.
+    Harness h;
+    seq::Generator gen(4343);
+    const std::string frame = requestBytes(1, gen.pair(100, 0.05));
+    u64 errors = 0;
+    for (const bool in_payload : {false, true}) {
+        RawWire w(h);
+        ASSERT_GE(w.fd, 0);
+        ASSERT_TRUE(w.hello());
+        const size_t cut =
+            in_payload ? kHeaderBytes + (frame.size() - kHeaderBytes) / 2
+                       : kHeaderBytes / 2;
+        ASSERT_TRUE(w.send(std::string_view(frame).substr(0, cut)));
+        ASSERT_EQ(::shutdown(w.fd, SHUT_WR), 0);
+        FrameType type{};
+        std::string payload;
+        ASSERT_TRUE(w.read(type, payload));
+        ASSERT_EQ(type, FrameType::Error);
+        ErrorFrame err;
+        ASSERT_TRUE(decodeError(payload.data(), payload.size(), err).ok());
+        EXPECT_EQ(err.code, StatusCode::InvalidInput);
+        EXPECT_EQ(err.message, in_payload ? "truncated frame payload"
+                                          : "truncated frame header");
+        ++errors;
+        ASSERT_TRUE(eventually([&] {
+            return h.server->serveSnapshot().protocol_errors == errors;
+        }));
+    }
+    EXPECT_EQ(h.server->serveSnapshot().requests, 0u);
+}
+
+TEST(WireFraming, CoalescedResponsesKeepIdOrderAndTheLedger)
+{
+    // Rejections, cache hits and fresh pairs interleaved in one send:
+    // responses that are ready back to back share a send, yet every one
+    // comes back once, in submission order, and the ledger balances.
+    Harness h;
+    RawWire w(h);
+    ASSERT_GE(w.fd, 0);
+    ASSERT_TRUE(w.hello());
+    seq::Generator gen(4444);
+    const auto hot = gen.pair(150, 0.02);
+    const seq::SequencePair empty{seq::Sequence(""), seq::Sequence("ACGT")};
+    std::vector<seq::SequencePair> pairs;
+    std::string burst;
+    for (u64 id = 0; id < 120; ++id) {
+        pairs.push_back(id % 3 == 0   ? empty
+                        : id % 3 == 1 ? hot
+                                      : gen.pair(150, 0.02));
+        burst += requestBytes(id, pairs.back());
+    }
+    ASSERT_TRUE(w.send(burst));
+    for (u64 id = 0; id < pairs.size(); ++id) {
+        AlignResponseFrame resp;
+        ASSERT_TRUE(w.response(resp)) << id;
+        ASSERT_EQ(resp.id, id);
+        if (id % 3 == 0) {
+            EXPECT_EQ(resp.code, StatusCode::InvalidInput);
+            continue;
+        }
+        ASSERT_EQ(resp.code, StatusCode::Ok) << resp.message;
+        EXPECT_EQ(resp.distance, align::nwDistance(pairs[id].pattern,
+                                                   pairs[id].text))
+            << id;
+    }
+    ASSERT_TRUE(eventually([&] {
+        const ServeSnapshot s = h.server->serveSnapshot();
+        return s.requests == pairs.size() &&
+               s.requests == s.responses_ok + s.responses_failed;
+    }));
+    const ServeSnapshot snap = h.server->serveSnapshot();
+    EXPECT_EQ(snap.responses_failed, 40u);
+    EXPECT_EQ(snap.responses_ok, 80u);
+    EXPECT_EQ(snap.frames_out, 1 + pairs.size());
+    EXPECT_GT(snap.cache_hits, 0u);
+    EXPECT_EQ(snap.pending, 0u);
 }
 
 } // namespace
