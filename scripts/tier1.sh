@@ -48,14 +48,15 @@ echo "== Front-door pass (-Werror + TSan, serve + scrape + chaos storm) =="
 # fed by a buffered frame reader and coalescing its sends (WireFraming).
 # ThreadSanitizer must see the serve suite, the scrape-server suite and
 # the fault-storm leg clean, with warnings-as-errors so new serve code
-# lands warning-free. ServeMetrics pins the serve renders (golden
+# lands warning-free. RouterCache drives the byte-bounded SIEVE cache.
+# ServeMetrics pins the serve renders (golden
 # exposition, client-id escaping) in the same warnings-as-errors tree.
 cmake -B build-front -S . -DGMX_WERROR=ON -DGMX_SANITIZE=thread \
     -DGMX_FAULT_INJECTION=ON
 cmake --build build-front -j"$(nproc)" \
     --target test_serve test_server test_chaos
 ctest --test-dir build-front --output-on-failure -j"$(nproc)" \
-    -R 'ServeProtocol|ServeMetrics|AlignServer|AlignClient|QuotaRegistry|ShardRouter|MetricsServer|Chaos|WireFraming'
+    -R 'ServeProtocol|ServeMetrics|AlignServer|AlignClient|QuotaRegistry|ShardRouter|RouterCache|MetricsServer|Chaos|WireFraming'
 
 echo "== Resilience pass (TSan + -Werror: breaker/brownout/watchdog) =="
 # The circuit breaker, brownout EWMA, connection watchdog, and retry
@@ -76,8 +77,10 @@ cmake --build build-server -j"$(nproc)" \
     --target test_server test_serve throughput_demo serve_demo
 # The partial-batch retry path reconnects and re-buffers per attempt;
 # ASan guards the slot bookkeeping against any use-after-free or leak.
+# RouterCache rides along: the dedup cache's SIEVE queue links map nodes
+# by raw pointer, and destroying the router must free every entry.
 ctest --test-dir build-server --output-on-failure -j"$(nproc)" \
-    -R 'MetricsServer|AlignClient.RetryCompletesPartialBatchAfterThrottle'
+    -R 'MetricsServer|AlignClient.RetryCompletesPartialBatchAfterThrottle|RouterCache'
 build-server/examples/serve_demo
 echo "serve_demo smoke OK"
 serve_log="$(mktemp)"

@@ -79,6 +79,8 @@ constexpr Field<M, S, kPriorityCount> kFields[] = {
      &S::cache_drained, &M::cache_drained},
     {"cache", "entries", "gmx_serve_cache_entries", kGauge,
      &S::cache_entries, &M::cache_entries},
+    {"cache", "bytes", "gmx_serve_cache_bytes", kGauge, &S::cache_bytes,
+     &M::cache_bytes},
     {.group = "cache",
      .key = "hit_rate",
      .family = "gmx_serve_cache_hit_rate",

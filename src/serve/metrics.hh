@@ -96,6 +96,7 @@ struct ServeCounters
     C cache_invalidated{}; //!< failed results dropped from the cache
     C cache_drained{};     //!< entries dropped by breaker ejection
     C cache_entries{};     //!< current resident entries (gauge)
+    C cache_bytes{};       //!< bytes charged to resident entries (gauge)
 
     // Deadline-budget accounting (requests carrying a wire deadline).
     C deadline_requests{};       //!< requests that carried a budget

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <functional>
+#include <random>
 
 namespace gmx::serve {
 
@@ -23,21 +23,6 @@ ready(const std::shared_future<engine::Engine::AlignOutcome> &f)
 }
 
 } // namespace
-
-std::string
-cacheKey(const seq::SequencePair &pair, bool want_cigar, u32 max_edits)
-{
-    // Sequences are normalized ACGT, so '|' cannot collide with content.
-    std::string key;
-    key.reserve(pair.pattern.size() + pair.text.size() + 16);
-    key += pair.pattern.str();
-    key += '|';
-    key += pair.text.str();
-    key += '|';
-    key += std::to_string(max_edits);
-    key += want_cigar ? "|c" : "|d";
-    return key;
-}
 
 const char *
 breakerStateName(BreakerState s)
@@ -67,13 +52,19 @@ ShardRouter::ShardRouter(std::vector<engine::Engine *> engines,
         if (config_.breaker_window > 0)
             breakers_.back()->ring.assign(config_.breaker_window, 0);
     }
-    if (config_.cache_capacity > 0) {
+    if (config_.cache_bytes > 0) {
         const size_t shards = std::max<size_t>(1, config_.cache_shards);
-        per_shard_capacity_ =
-            std::max<size_t>(1, config_.cache_capacity / shards);
+        shard_bytes_ = config_.cache_bytes / shards;
         cache_.reserve(shards);
-        for (size_t i = 0; i < shards; ++i)
+        // Buckets for the most entries a shard can hold, allocated once:
+        // no rehash ever runs under a shard lock.
+        for (size_t i = 0; i < shards; ++i) {
             cache_.push_back(std::make_unique<CacheShard>());
+            cache_.back()->map.reserve(shard_bytes_ / kCacheEntryBytes);
+        }
+        std::random_device rd;
+        hash_k0_ = u64{rd()} << 32 | rd();
+        hash_k1_ = u64{rd()} << 32 | rd();
     }
 }
 
@@ -130,10 +121,69 @@ ShardRouter::pickShard(u64 bytes, bool &probe)
     return best;
 }
 
-ShardRouter::CacheShard &
-ShardRouter::cacheShardFor(const std::string &key)
+void
+ShardRouter::CacheShard::pushNewest(Node *node)
 {
-    return *cache_[std::hash<std::string>{}(key) % cache_.size()];
+    node->second.older = newest;
+    node->second.newer = nullptr;
+    if (newest != nullptr)
+        newest->second.newer = node;
+    else
+        oldest = node;
+    newest = node;
+}
+
+void
+ShardRouter::CacheShard::unlink(Node *node)
+{
+    Entry &e = node->second;
+    if (hand == node)
+        hand = e.newer;
+    (e.older != nullptr ? e.older->second.newer : oldest) = e.newer;
+    (e.newer != nullptr ? e.newer->second.older : newest) = e.older;
+}
+
+ShardRouter::CacheShard::Node *
+ShardRouter::CacheShard::victim()
+{
+    Node *node = hand != nullptr ? hand : oldest;
+    while (node->second.visited) {
+        node->second.visited = false;
+        node = node->second.newer != nullptr ? node->second.newer : oldest;
+    }
+    hand = node; // unlinking the victim moves the hand to its newer side
+    return node;
+}
+
+ShardRouter::CacheShard &
+ShardRouter::cacheShardFor(const Digest128 &key)
+{
+    return *cache_[key.hi % cache_.size()];
+}
+
+Digest128
+ShardRouter::keyOf(const seq::SequencePair &pair, bool want_cigar,
+                   u32 max_edits) const
+{
+    SipHash128 h(hash_k0_, hash_k1_);
+    // The lengths come first, so they fix where the pattern ends.
+    h.updateWord(pair.pattern.size());
+    h.updateWord(pair.text.size());
+    h.updateWord(u64{max_edits} << 1 | (want_cigar ? 1 : 0));
+    h.update(pair.pattern.str().data(), pair.pattern.size());
+    h.update(pair.text.str().data(), pair.text.size());
+    return h.finish();
+}
+
+ShardRouter::CacheShard::Map::iterator
+ShardRouter::drop(CacheShard &cs, CacheShard::Map::iterator it)
+{
+    cs.unlink(&*it);
+    cs.bytes -= it->second.charge;
+    metrics_->cache_entries.fetch_sub(1, std::memory_order_relaxed);
+    metrics_->cache_bytes.fetch_sub(it->second.charge,
+                                    std::memory_order_relaxed);
+    return cs.map.erase(it);
 }
 
 Ticket
@@ -141,16 +191,25 @@ ShardRouter::submit(const seq::SequencePair &pair, bool want_cigar,
                     u32 max_edits, std::chrono::nanoseconds timeout)
 {
     Ticket t;
-    t.bytes = pair.pattern.size() + pair.text.size();
+    const size_t n = pair.pattern.size();
+    const size_t m = pair.text.size();
+    t.bytes = n + m;
 
-    const bool cached = per_shard_capacity_ > 0;
+    // A CIGAR holds at most n + m one-byte ops. Long-class pairs bypass
+    // the cache: they are streamed in O(window) memory precisely so
+    // that no layer holds O(n + m) bytes per request.
+    const u64 charge = kCacheEntryBytes + (want_cigar ? t.bytes : 0);
+    const bool cached =
+        charge <= shard_bytes_ &&
+        engine::lengthClassFor(engines_.front()->config().cascade, n, m) ==
+            align::LengthClass::Short;
     if (cached) {
-        t.key = cacheKey(pair, want_cigar, max_edits);
+        t.key = keyOf(pair, want_cigar, max_edits);
         CacheShard &cs = cacheShardFor(t.key);
         std::unique_lock<std::mutex> lk(cs.mu);
         auto it = cs.map.find(t.key);
-        if (it != cs.map.end()) {
-            cs.lru.splice(cs.lru.begin(), cs.lru, it->second.lru_it);
+        if (it != cs.map.end() && it->second.n == n && it->second.m == m) {
+            it->second.visited = true;
             t.future = it->second.future;
             lk.unlock();
             // Ready => a completed result is being reused; not ready =>
@@ -164,7 +223,6 @@ ShardRouter::submit(const seq::SequencePair &pair, bool want_cigar,
                 metrics_->cache_coalesced.fetch_add(
                     1, std::memory_order_relaxed);
             }
-            t.key.clear(); // non-owners never invalidate
             return t;
         }
         metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
@@ -182,7 +240,6 @@ ShardRouter::submit(const seq::SequencePair &pair, bool want_cigar,
         refused.set_value(engine::Engine::AlignOutcome(
             Status::unavailable("all shards circuit-broken")));
         t.future = refused.get_future().share();
-        t.key.clear();
         return t;
     }
     t.owner = true;
@@ -192,35 +249,44 @@ ShardRouter::submit(const seq::SequencePair &pair, bool want_cigar,
     opts.timeout = timeout;
     t.future = engines_[t.shard]->submit(pair, opts).share();
 
-    if (cached) {
-        CacheShard &cs = cacheShardFor(t.key);
-        std::lock_guard<std::mutex> lk(cs.mu);
-        auto [it, fresh] = cs.map.try_emplace(t.key);
-        if (!fresh) {
-            // A concurrent miss inserted first; keep theirs, run our
-            // duplicate to completion (rare, harmless).
-            t.key.clear();
-            return t;
-        }
-        it->second.future = t.future;
-        it->second.gen =
-            next_gen_.fetch_add(1, std::memory_order_relaxed);
-        it->second.shard = t.shard;
-        cs.lru.push_front(t.key);
-        it->second.lru_it = cs.lru.begin();
-        t.gen = it->second.gen;
-        metrics_->cache_entries.fetch_add(1, std::memory_order_relaxed);
-        if (cs.map.size() > per_shard_capacity_) {
-            const std::string &victim = cs.lru.back();
-            cs.map.erase(victim);
-            cs.lru.pop_back();
-            metrics_->cache_evictions.fetch_add(
-                1, std::memory_order_relaxed);
-            metrics_->cache_entries.fetch_sub(1,
-                                              std::memory_order_relaxed);
-        }
-    }
+    if (cached)
+        insert(t, static_cast<u32>(n), static_cast<u32>(m), charge);
     return t;
+}
+
+void
+ShardRouter::insert(Ticket &t, u32 n, u32 m, u64 charge)
+{
+    CacheShard &cs = cacheShardFor(t.key);
+    std::lock_guard<std::mutex> lk(cs.mu);
+    auto [it, fresh] = cs.map.try_emplace(t.key);
+    if (!fresh) {
+        // A concurrent miss inserted first (or, vanishingly rarely, a
+        // digest collision holds the slot); keep theirs, run our
+        // duplicate to completion uncached.
+        return;
+    }
+    // Make room before linking, so the fresh entry is never the victim.
+    u64 evicted = 0;
+    while (cs.bytes + charge > shard_bytes_) {
+        drop(cs, cs.map.find(cs.victim()->first));
+        ++evicted;
+    }
+    if (evicted > 0)
+        metrics_->cache_evictions.fetch_add(evicted,
+                                            std::memory_order_relaxed);
+    CacheShard::Entry &e = it->second;
+    e.future = t.future;
+    e.gen = next_gen_.fetch_add(1, std::memory_order_relaxed);
+    e.n = n;
+    e.m = m;
+    e.charge = charge;
+    e.shard = static_cast<u32>(t.shard);
+    cs.pushNewest(&*it);
+    cs.bytes += charge;
+    t.gen = e.gen;
+    metrics_->cache_entries.fetch_add(1, std::memory_order_relaxed);
+    metrics_->cache_bytes.fetch_add(charge, std::memory_order_relaxed);
 }
 
 void
@@ -249,7 +315,7 @@ ShardRouter::complete(const Ticket &ticket, StatusCode code,
         noteOutcome(ticket, shard_fail);
     }
 
-    if (ok || ticket.key.empty())
+    if (ok || ticket.gen == 0)
         return;
     // Failed computation: drop the cached future so the failure is not
     // replayed, but only if the entry is still OUR generation — an
@@ -259,10 +325,8 @@ ShardRouter::complete(const Ticket &ticket, StatusCode code,
     auto it = cs.map.find(ticket.key);
     if (it == cs.map.end() || it->second.gen != ticket.gen)
         return;
-    cs.lru.erase(it->second.lru_it);
-    cs.map.erase(it);
+    drop(cs, it);
     metrics_->cache_invalidated.fetch_add(1, std::memory_order_relaxed);
-    metrics_->cache_entries.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void
@@ -327,20 +391,16 @@ ShardRouter::drainShardCache(size_t shard)
         std::lock_guard<std::mutex> lk(cs.mu);
         for (auto it = cs.map.begin(); it != cs.map.end();) {
             if (it->second.shard == shard) {
-                cs.lru.erase(it->second.lru_it);
-                it = cs.map.erase(it);
+                it = drop(cs, it);
                 ++drained;
             } else {
                 ++it;
             }
         }
     }
-    if (drained > 0) {
+    if (drained > 0)
         metrics_->cache_drained.fetch_add(drained,
                                           std::memory_order_relaxed);
-        metrics_->cache_entries.fetch_sub(drained,
-                                          std::memory_order_relaxed);
-    }
 }
 
 BreakerState

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shard router: balance alignment requests across M engine instances
- * and dedup identical requests through a sharded LRU result cache.
+ * Shard router: balance alignment requests across M engines and dedup
+ * identical requests through a sharded result cache bounded in bytes.
  *
  * Routing is load-based, not hash-based: every request goes to the
  * shard with the least outstanding work, scored as outstanding bytes
@@ -10,13 +10,33 @@
  * the score tracks what each engine is actually still chewing on rather
  * than what was ever sent to it.
  *
- * The cache keys on (pattern, text, max_edits, want_cigar) and stores
- * shared_futures, which buys coalescing for free: a second request for
- * a key whose computation is still in flight joins the same future
- * instead of resubmitting. Failed computations must not be served from
- * the cache, so each entry carries a generation stamp and complete()
- * erases the entry only if the generation still matches — a concurrent
- * re-insert under the same key is left alone.
+ * Key. A cache entry is named by a 128-bit SipHash-2-4 digest of
+ * (pattern, text, max_edits, want_cigar), keyed once per router from
+ * std::random_device so a client cannot aim two requests at one digest.
+ * The entry also keeps both lengths and a hit checks them. The digest
+ * picks the cache shard (high word) and the bucket (low word); no copy
+ * of either sequence is kept or allocated per request.
+ *
+ * Bytes. cache_bytes bounds the bytes the entries hold, split evenly
+ * across cache shards. An entry is charged kCacheEntryBytes (its map
+ * node, its shared future's state and result, measured with mallinfo2)
+ * plus n + m when it carries a CIGAR: ops are one byte and a traceback
+ * reserves n + m of them. Long-class pairs (engine::lengthClassFor)
+ * bypass the cache, as does an entry larger than a shard's budget.
+ *
+ * Policy. Each cache shard runs SIEVE: entries sit in insertion order,
+ * a hit sets the entry's visited bit, and to make room a hand walks
+ * from the oldest entry towards the newest, clearing visited bits and
+ * evicting the first entry it finds unvisited. Entries that are hit
+ * stay where they are, so a scan of one-off keys evicts other one-off
+ * keys and passes over the hot set.
+ *
+ * The cache stores shared_futures, which buys coalescing for free: a
+ * second request for a key whose computation is still in flight joins
+ * the same future instead of resubmitting. Failed computations must not
+ * be served from the cache, so each entry carries a generation stamp
+ * and complete() erases the entry only if the generation still matches
+ * — a concurrent re-insert under the same key is left alone.
  *
  * Lock discipline: no cache-shard lock is ever held across
  * Engine::submit (which can block under Block backpressure). The miss
@@ -45,23 +65,34 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/siphash.hh"
 #include "engine/engine.hh"
 #include "serve/metrics.hh"
 
 namespace gmx::serve {
 
+/**
+ * Bytes charged per cache entry besides its CIGAR: the map node, the
+ * shared future's state and its AlignOutcome, as mallinfo2 measured
+ * them (see RouterCache.BytesStayWithinTheCap).
+ */
+inline constexpr size_t kCacheEntryBytes = 320;
+
 /** ShardRouter construction parameters. */
 struct RouterConfig
 {
-    /** Total cached results across all cache shards (0 disables). */
-    size_t cache_capacity = 4096;
+    /**
+     * Bytes charged to cached results across all cache shards (0
+     * disables). The default is what 4096 cached short (150 + 150 bp)
+     * distance results held when each entry kept two string copies of
+     * its key, 4 000 KiB.
+     */
+    size_t cache_bytes = 4000 * 1024;
 
     /** Cache lock shards; requests hash across them by key. */
     size_t cache_shards = 8;
@@ -105,13 +136,13 @@ struct Ticket
     bool cache_hit = false;  //!< served from a completed cache entry
     bool coalesced = false;  //!< joined an in-flight computation
     bool probe = false;    //!< the single HalfOpen recovery probe
-    std::string key;       //!< cache key (set when the owner inserted)
-    u64 gen = 0;           //!< cache entry generation (for invalidation)
+    Digest128 key;         //!< cache key digest (meaningful when gen != 0)
+    u64 gen = 0;           //!< entry generation; 0 = inserted no entry
 };
 
 /**
  * Routes requests to the least-loaded of M engines, deduplicating
- * identical requests through a sharded LRU cache of shared futures.
+ * identical requests through a sharded SIEVE cache of shared futures.
  * Thread-safe. Does not own the engines; they must outlive the router.
  */
 class ShardRouter
@@ -167,19 +198,54 @@ class ShardRouter
         std::atomic<u64> outstanding_bytes{0};
     };
 
-    /** One lock shard of the dedup cache. */
+    /** Bucket index from the digest's low word (its high word picks the
+     *  cache shard). */
+    struct DigestHash
+    {
+        size_t operator()(const Digest128 &d) const noexcept
+        {
+            return static_cast<size_t>(d.lo);
+        }
+    };
+
+    /** One lock shard of the dedup cache: digest map plus SIEVE queue. */
     struct CacheShard
     {
+        struct Entry;
+        using Node = std::pair<const Digest128, Entry>; //!< a map node
         struct Entry
         {
             std::shared_future<engine::Engine::AlignOutcome> future;
             u64 gen = 0;
-            size_t shard = 0; //!< owning engine (for breaker drains)
-            std::list<std::string>::iterator lru_it;
+            Node *newer = nullptr; //!< SIEVE queue neighbours
+            Node *older = nullptr;
+            u32 n = 0;             //!< pattern length, checked on a hit
+            u32 m = 0;             //!< text length, checked on a hit
+            u64 charge = 0;        //!< bytes charged to this shard
+            u32 shard = 0;         //!< owning engine (for breaker drains)
+            bool visited = false;  //!< hit since the hand last passed it
         };
+        using Map = std::unordered_map<Digest128, Entry, DigestHash>;
+
+        /** Link a fresh node as the newest entry. */
+        void pushNewest(Node *node);
+
+        /** Unlink @p node from the queue, moving the hand past it. */
+        void unlink(Node *node);
+
+        /**
+         * SIEVE's victim: from the hand (or the oldest entry) towards
+         * the newest, wrapping, clear each visited bit passed and stop
+         * at the first unvisited entry. The queue must be non-empty.
+         */
+        Node *victim();
+
         mutable std::mutex mu;
-        std::unordered_map<std::string, Entry> map;
-        std::list<std::string> lru; //!< front = most recently used
+        Map map;
+        Node *newest = nullptr;
+        Node *oldest = nullptr;
+        Node *hand = nullptr; //!< next eviction candidate (null = oldest)
+        size_t bytes = 0;     //!< charged to resident entries
     };
 
     /** Rolling health window + breaker state for one engine. */
@@ -203,7 +269,19 @@ class ShardRouter
      * engines_.size() when every shard is open.
      */
     size_t pickShard(u64 bytes, bool &probe);
-    CacheShard &cacheShardFor(const std::string &key);
+    CacheShard &cacheShardFor(const Digest128 &key);
+
+    /** The keyed digest naming one request's cached result. */
+    Digest128 keyOf(const seq::SequencePair &pair, bool want_cigar,
+                    u32 max_edits) const;
+
+    /** Cache @p t's future under t.key unless an entry holds it already;
+     *  evicts SIEVE victims until @p charge fits the shard's budget. */
+    void insert(Ticket &t, u32 n, u32 m, u64 charge);
+
+    /** Erase one entry and refund its bytes; returns the next entry. */
+    CacheShard::Map::iterator drop(CacheShard &cs,
+                                   CacheShard::Map::iterator it);
 
     /** Record one completion verdict; may trip the breaker open. */
     void noteOutcome(const Ticket &ticket, bool shard_fail);
@@ -214,16 +292,14 @@ class ShardRouter
     std::vector<engine::Engine *> engines_;
     RouterConfig config_;
     ServeMetrics *metrics_;
-    size_t per_shard_capacity_ = 0; //!< 0 = cache disabled
+    size_t shard_bytes_ = 0; //!< per cache shard; 0 = cache disabled
+    u64 hash_k0_ = 0;        //!< SipHash key, drawn once per router
+    u64 hash_k1_ = 0;
     std::vector<std::unique_ptr<ShardLoad>> loads_;
     std::vector<std::unique_ptr<Breaker>> breakers_;
     std::vector<std::unique_ptr<CacheShard>> cache_;
     std::atomic<u64> next_gen_{1};
 };
-
-/** Canonical cache key for one request (exposed for tests). */
-std::string cacheKey(const seq::SequencePair &pair, bool want_cigar,
-                     u32 max_edits);
 
 } // namespace gmx::serve
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Unit tests for the common substrate: bit vectors, PRNG, stats, tables,
- * logging.
+ * Unit tests for the common substrate: bit vectors, PRNG, SipHash,
+ * stats, tables, logging.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/bitvector.hh"
 #include "common/logging.hh"
 #include "common/prng.hh"
+#include "common/siphash.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -111,6 +113,50 @@ TEST(Prng, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+/** SipHash-2-4-128 of the bytes 0, 1, ..., len-1 under key 00..0f. */
+Digest128
+sipReference(size_t len, size_t chunk)
+{
+    unsigned char msg[64];
+    for (size_t i = 0; i < sizeof msg; ++i)
+        msg[i] = static_cast<unsigned char>(i);
+    SipHash128 h(0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL);
+    for (size_t at = 0; at < len; at += chunk)
+        h.update(msg + at, std::min(chunk, len - at));
+    return h.finish();
+}
+
+TEST(SipHash, MatchesTheReferenceVectors)
+{
+    // vectors_sip128 from the SipHash reference implementation, read as
+    // two little-endian words.
+    EXPECT_EQ(sipReference(0, 1),
+              (Digest128{0xe6a825ba047f81a3ULL, 0x930255c71472f66dULL}));
+    EXPECT_EQ(sipReference(1, 1),
+              (Digest128{0x44af996bd8c187daULL, 0x45fc229b11597634ULL}));
+    EXPECT_EQ(sipReference(63, 63),
+              (Digest128{0x4a83502f77d15051ULL, 0x7cbd3f979a063e50ULL}));
+}
+
+TEST(SipHash, DigestIgnoresHowTheMessageIsSplit)
+{
+    for (size_t len : {7u, 8u, 15u, 40u, 63u}) {
+        const Digest128 whole = sipReference(len, len);
+        for (size_t chunk : {1u, 3u, 8u, 13u})
+            EXPECT_EQ(sipReference(len, chunk), whole)
+                << "len " << len << " chunk " << chunk;
+    }
+}
+
+TEST(SipHash, WordsAreFedLittleEndian)
+{
+    SipHash128 a(1, 2), b(1, 2);
+    a.updateWord(0x0706050403020100ULL);
+    const unsigned char bytes[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+    b.update(bytes, sizeof bytes);
+    EXPECT_EQ(a.finish(), b.finish());
 }
 
 TEST(RunningStats, BasicMoments)

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -580,7 +581,7 @@ TEST(ShardRouter, BalancesByOutstandingLoadAndSettlesOnComplete)
     engine::Engine e0(ecfg), e1(ecfg);
     ServeMetrics metrics;
     RouterConfig rcfg;
-    rcfg.cache_capacity = 0; // isolate routing from dedup
+    rcfg.cache_bytes = 0; // isolate routing from dedup
     ShardRouter router({&e0, &e1}, rcfg, &metrics);
 
     seq::Generator gen(19);
@@ -1221,7 +1222,7 @@ TEST(ShardRouter, BreakerOpensRoutesAroundProbesAndRecovers)
     engine::Engine e0(ecfg), e1(ecfg);
     ServeMetrics metrics;
     RouterConfig rcfg;
-    rcfg.cache_capacity = 0;
+    rcfg.cache_bytes = 0;
     rcfg.breaker_window = 8;
     rcfg.breaker_min_samples = 4;
     rcfg.breaker_open_ratio = 0.5;
@@ -1285,7 +1286,7 @@ TEST(ShardRouter, AllShardsOpenYieldsTypedUnavailable)
     engine::Engine e0(ecfg);
     ServeMetrics metrics;
     RouterConfig rcfg;
-    rcfg.cache_capacity = 0;
+    rcfg.cache_bytes = 0;
     rcfg.breaker_window = 4;
     rcfg.breaker_min_samples = 2;
     rcfg.breaker_open_ratio = 0.5;
@@ -1365,6 +1366,155 @@ TEST(ShardRouter, BreakerTripDrainsTheSickShardsCacheEntries)
                      misses_before);
     ASSERT_TRUE(again.future.get().ok());
     router.complete(again, StatusCode::Ok);
+}
+
+// -------------------------------------------------------------------
+// Router dedup cache: byte bound, SIEVE policy, long-class bypass.
+// -------------------------------------------------------------------
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define GMX_SERVE_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define GMX_SERVE_SANITIZED 1
+#endif
+#endif
+
+/** Submit @p pair, wait for it and settle it; returns the ticket. */
+Ticket
+settle(ShardRouter &router, const seq::SequencePair &pair, bool cigar)
+{
+    Ticket t = router.submit(pair, cigar, 0);
+    const auto &r = t.future.get();
+    EXPECT_TRUE(r.ok()) << r.status().toString();
+    router.complete(t, r.code());
+    return t;
+}
+
+TEST(RouterCache, BytesStayWithinTheCap)
+{
+    engine::EngineConfig ecfg;
+    ecfg.workers = 2;
+    engine::Engine eng(ecfg);
+    ServeMetrics metrics;
+    RouterConfig rcfg;
+    rcfg.cache_bytes = 192 * 1024;
+    rcfg.cache_shards = 4;
+
+    // Three times the cap in charges: distance-only entries charge
+    // kCacheEntryBytes, CIGAR entries that plus n + m (~200 here).
+    seq::Generator gen(303);
+    std::vector<seq::SequencePair> pairs;
+    for (size_t i = 0; i < 2000; ++i)
+        pairs.push_back(gen.pair(100, 0.05));
+    u64 charged_total = 0;
+
+#ifndef GMX_SERVE_SANITIZED
+    const size_t heap_before = mallinfo2().uordblks;
+#endif
+    auto router = std::make_unique<ShardRouter>(
+        std::vector<engine::Engine *>{&eng}, rcfg, &metrics);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+        const bool cigar = i % 3 == 0;
+        charged_total += kCacheEntryBytes +
+                         (cigar ? pairs[i].pattern.size() +
+                                      pairs[i].text.size()
+                                : 0);
+        settle(*router, pairs[i], cigar);
+        ASSERT_LE(metrics.cache_bytes.load(), rcfg.cache_bytes)
+            << "after insert " << i;
+    }
+    ASSERT_GT(charged_total, 3 * rcfg.cache_bytes);
+    const u64 charged = metrics.cache_bytes.load();
+    EXPECT_GT(metrics.cache_evictions.load(), 0u);
+    EXPECT_GT(charged, rcfg.cache_bytes / 2);
+    EXPECT_EQ(metrics.cache_entries.load(), router->cacheEntries());
+
+#ifndef GMX_SERVE_SANITIZED
+    // The heap the router holds, measured around its destruction once
+    // the engine has released every request it ran. Slack: the bucket
+    // arrays reserved at construction (8 B per slot, cache_bytes /
+    // kCacheEntryBytes slots, doubled for the prime rounding) plus 16 KiB
+    // for the router's own scoreboards and locks.
+    eng.stop();
+    const size_t heap_full = mallinfo2().uordblks;
+    router.reset();
+    const size_t heap_empty = mallinfo2().uordblks;
+    const size_t slack =
+        16 * (rcfg.cache_bytes / kCacheEntryBytes) + 16 * 1024;
+    EXPECT_LE(heap_full - heap_empty, charged + slack)
+        << "charged " << charged << " slack " << slack;
+    // The charge tracks real bytes: it does not overstate them twofold.
+    EXPECT_GT(heap_full - heap_empty, charged / 2);
+    EXPECT_LE(heap_empty, heap_before + 16 * 1024);
+#else
+    router.reset(); // LeakSanitizer checks that nothing is left behind
+#endif
+}
+
+TEST(RouterCache, HotSetSurvivesAScan)
+{
+    engine::EngineConfig ecfg;
+    ecfg.workers = 1;
+    engine::Engine eng(ecfg);
+    ServeMetrics metrics;
+    RouterConfig rcfg;
+    constexpr size_t kCapacity = 64; // distance-only entries
+    rcfg.cache_bytes = kCapacity * kCacheEntryBytes;
+    rcfg.cache_shards = 1;
+    ShardRouter router({&eng}, rcfg, &metrics);
+
+    seq::Generator gen(404);
+    std::vector<seq::SequencePair> hot;
+    for (int i = 0; i < 8; ++i) {
+        hot.push_back(gen.pair(60, 0.05));
+        settle(router, hot.back(), false);
+    }
+    for (const auto &p : hot)
+        EXPECT_FALSE(settle(router, p, false).owner);
+
+    // One pass of 2x capacity one-off keys, re-touching the hot set
+    // after each capacity's worth. An LRU evicts the hot set after
+    // kCapacity - 8 cold inserts; SIEVE's hand passes over it.
+    for (int round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < kCapacity; ++i)
+            EXPECT_TRUE(settle(router, gen.pair(60, 0.05), false).owner);
+        for (size_t i = 0; i < hot.size(); ++i)
+            EXPECT_FALSE(settle(router, hot[i], false).owner)
+                << "hot key " << i << " evicted in round " << round;
+    }
+    EXPECT_GE(metrics.cache_evictions.load(), kCapacity);
+    EXPECT_EQ(router.cacheEntries(), kCapacity);
+}
+
+TEST(RouterCache, LongPairsBypassTheCache)
+{
+    engine::EngineConfig ecfg;
+    ecfg.workers = 1;
+    ecfg.cascade.long_threshold = 1000;
+    engine::Engine eng(ecfg);
+    ServeMetrics metrics;
+    ShardRouter router({&eng}, RouterConfig{}, &metrics);
+
+    seq::Generator gen(505);
+    const seq::SequencePair long_pair = gen.pair(1500, 0.05);
+    const seq::SequencePair short_pair = gen.pair(150, 0.05);
+    for (bool cigar : {false, true}) {
+        for (int i = 0; i < 2; ++i) {
+            const Ticket t = settle(router, long_pair, cigar);
+            EXPECT_TRUE(t.owner) << "a long pair was served from the cache";
+            EXPECT_EQ(t.gen, 0u);
+        }
+    }
+    EXPECT_EQ(router.cacheEntries(), 0u);
+    EXPECT_EQ(metrics.cache_bytes.load(), 0u);
+    EXPECT_EQ(metrics.cache_misses.load(), 0u); // never looked up
+
+    // A short pair on the same router is still cached.
+    EXPECT_TRUE(settle(router, short_pair, false).owner);
+    EXPECT_FALSE(settle(router, short_pair, false).owner);
+    EXPECT_EQ(router.cacheEntries(), 1u);
+    EXPECT_EQ(metrics.cache_bytes.load(), kCacheEntryBytes);
 }
 
 // -------------------------------------------------------------------
@@ -1470,7 +1620,7 @@ TEST(AlignServer, WedgedShardBreakerOpensAndBatchSurvives)
     ecfg.backpressure = engine::Backpressure::Reject;
     AlignServerConfig scfg;
     scfg.pending_cap = 0; // isolate the breaker from watermark shed
-    scfg.router.cache_capacity = 0;
+    scfg.router.cache_bytes = 0;
     scfg.router.breaker_window = 8;
     scfg.router.breaker_min_samples = 2;
     scfg.router.breaker_open_ratio = 0.5;
@@ -1584,6 +1734,7 @@ goldenServeSnapshot()
     for (u64 &p : s.brownout_shed)
         p = v++;
     s.pending_peak = 9876543210ull;
+    s.cache_bytes = 4096000;
     s.brownout_level = 2;
     for (unsigned i = 0; i < 2; ++i) {
         serve::ShardStats sh;
@@ -1613,7 +1764,7 @@ const char *const kGoldenServeJson =
     R"js("shed":{"low":129,"normal":130,"high":131},"pending":113,)js"
     R"js("pending_peak":9876543210,"cache":{"hits":114,"coalesced":115,)js"
     R"js("misses":116,"evictions":117,"invalidated":118,"drained":119,)js"
-    R"js("entries":120,"hit_rate":0.663768115942029},)js"
+    R"js("entries":120,"bytes":4096000,"hit_rate":0.663768115942029},)js"
     R"js("deadline":{"requests":121,)js"
     R"js("refused":122,"budget_us":123,"queue_spent_us":124},)js"
     R"js("resilience":{"breaker_opens":125,"breaker_rejected":126,)js"
@@ -1676,6 +1827,8 @@ gmx_serve_cache_invalidated_total 118
 gmx_serve_cache_drained_total 119
 # TYPE gmx_serve_cache_entries gauge
 gmx_serve_cache_entries 120
+# TYPE gmx_serve_cache_bytes gauge
+gmx_serve_cache_bytes 4096000
 # TYPE gmx_serve_cache_hit_rate gauge
 gmx_serve_cache_hit_rate 0.663768116
 # TYPE gmx_serve_deadline_requests counter
